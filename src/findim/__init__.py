@@ -40,7 +40,6 @@ from .invariants import (
     h_value,
     hom_support,
     in_hom_p,
-    is_homologically_finite,
     random_chain_map,
     random_module,
     random_perfect_complex,

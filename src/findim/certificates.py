@@ -22,6 +22,7 @@ from .modules import (
     minimal_resolution,
     proj_dim,
     projsum_module,
+    resolution_steps,
 )
 from .complexes import (
     ChainMap,
@@ -70,15 +71,14 @@ def enumerate_modules(
     Raises BudgetExceededError when some dimension vector alone would
     require more than `budget` matrix-tuple candidates.
     """
-    p = algebra.field.p
-    if p is None:
-        raise ValueError("module enumeration needs a finite field")
     for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
         yield from _modules_with_dims(algebra, dims, budget)
 
 
 def _modules_with_dims(algebra, dims, budget) -> Iterator[Module]:
     p = algebra.field.p
+    if p is None:
+        raise ValueError("module enumeration needs a finite field")
     arrows = algebra.quiver.arrows
     entries = sum(dims[a.target] * dims[a.source] for a in arrows)
     if p**entries > budget:
@@ -99,6 +99,20 @@ def _modules_with_dims(algebra, dims, budget) -> Iterator[Module]:
             yield Module(algebra, list(dims), mats, check=True)
         except ValueError:
             continue
+
+
+def _budgeted_modules(
+    algebra, max_total_dim: int, budget: int, skipped: List[List[int]]
+) -> Iterator[Module]:
+    """The modules of enumerate_modules, except that a dimension vector
+    over the budget is appended to `skipped` and passed over."""
+    for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
+        try:
+            mods = list(_modules_with_dims(algebra, dims, budget))
+        except BudgetExceededError:
+            skipped.append(list(dims))
+            continue
+        yield from mods
 
 
 @dataclass
@@ -145,27 +159,19 @@ def findim_estimate(
     seen = 0
     excluded = 0
     excluded_periodic = 0
-    exhaustive = True
     skipped: List[List[int]] = []
-    for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
-        try:
-            mods = list(_modules_with_dims(algebra, dims, budget))
-        except BudgetExceededError:
-            exhaustive = False
-            skipped.append(list(dims))
-            continue
-        for m in mods:
-            seen += 1
-            res = minimal_resolution(m, cutoff)
-            if res.status.is_finite:
-                if witness_dims is None or res.status.value > best:
-                    best = res.status.value
-                    witness_dims = list(m.dims)
-                    witness_res = [list(t.dims) for t in res.terms]
-            else:
-                excluded += 1
-                if res.status.kind == "infinite_periodic":
-                    excluded_periodic += 1
+    for m in _budgeted_modules(algebra, max_total_dim, budget, skipped):
+        seen += 1
+        res = minimal_resolution(m, cutoff)
+        if res.status.is_finite:
+            if witness_dims is None or res.status.value > best:
+                best = res.status.value
+                witness_dims = list(m.dims)
+                witness_res = [list(t.dims) for t in res.terms]
+        else:
+            excluded += 1
+            if res.status.kind == "infinite_periodic":
+                excluded_periodic += 1
     return FinDimReport(
         field_desc=repr(algebra.field),
         max_total_dim=max_total_dim,
@@ -176,7 +182,7 @@ def findim_estimate(
         modules_seen=seen,
         excluded=excluded,
         excluded_periodic=excluded_periodic,
-        exhaustive=exhaustive,
+        exhaustive=not skipped,
         skipped_dim_vectors=skipped,
     )
 
@@ -198,19 +204,11 @@ def regularity_check(algebra, max_total_dim: int, cutoff: int, budget: int = 10*
     estimate max{pd S_i} over the simples."""
     flagged = 0
     seen = 0
-    exhaustive = True
     skipped: List[List[int]] = []
-    for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
-        try:
-            mods = list(_modules_with_dims(algebra, dims, budget))
-        except BudgetExceededError:
-            exhaustive = False
-            skipped.append(list(dims))
-            continue
-        for m in mods:
-            seen += 1
-            if not proj_dim(m, cutoff).is_finite:
-                flagged += 1
+    for m in _budgeted_modules(algebra, max_total_dim, budget, skipped):
+        seen += 1
+        if not proj_dim(m, cutoff).is_finite:
+            flagged += 1
     gl = [proj_dim(algebra.simple(i), cutoff) for i in range(algebra.num_vertices)]
     if all(r.is_finite for r in gl):
         gl_estimate = {"kind": "finite", "value": max(r.value for r in gl)}
@@ -223,7 +221,7 @@ def regularity_check(algebra, max_total_dim: int, cutoff: int, budget: int = 10*
         "flagged_infinite_or_undecided": flagged,
         "regular_up_to_bound": flagged == 0,
         "gl_dim_estimate": gl_estimate,
-        "exhaustive": exhaustive,
+        "exhaustive": not skipped,
         "skipped_dim_vectors": skipped,
     }
 
@@ -652,29 +650,18 @@ def _resolution_complex(m: Module, terms_needed: int, cutoff: int) -> Complex:
     """The minimal resolution as a perfect complex in degrees -K..0,
     truncated to `terms_needed` terms when it does not stop.
 
-    Built by direct cover iteration (never stopping early on periodicity)
-    so the window maps below always see genuine resolution differentials.
+    Never stops early on periodicity, so the window maps below always see
+    genuine resolution differentials.
     """
-    from .modules import kernel_of, projective_cover
-
-    algebra = m.algebra
     terms = {}
     diffs = {}
     pv = {}
-    current = m
-    prev_incl = None
-    for k in range(terms_needed + 1):
-        if current.is_zero():
-            break
-        proj, cover, verts = projective_cover(current)
+    for k, (proj, verts, d, _) in zip(range(terms_needed + 1), resolution_steps(m)):
         terms[-k] = proj
         pv[-k] = tuple(verts)
         if k > 0:
-            diffs[-k] = prev_incl.compose(cover)
-        ker, incl = kernel_of(cover)
-        current = ker
-        prev_incl = incl
-    return Complex(algebra, terms, diffs, proj_verts=pv, check=False)
+            diffs[-k] = d
+    return Complex(m.algebra, terms, diffs, proj_verts=pv, check=False)
 
 
 def _window(x: Complex, lo: int, hi: int) -> Complex:

@@ -22,8 +22,7 @@ from .modules import minimal_resolution, proj_dim
 from .invariants import (
     ResolutionCutoffError,
     amplitude,
-    h_value,
-    hom_support,
+    invariants_report,
     random_perfect_complex,
 )
 from .certificates import (
@@ -74,7 +73,10 @@ def _parse_field_flag(text):
     if text == "Q":
         return "Q"
     if text.startswith("gfp:"):
-        return {"gfp": int(text.split(":", 1)[1])}
+        try:
+            return {"gfp": int(text.split(":", 1)[1])}
+        except ValueError:
+            pass
     raise ParseError(f"bad --field value {text!r} (use Q or gfp:p)")
 
 
@@ -110,6 +112,8 @@ def cmd_pd(args) -> int:
 
 def cmd_findim(args) -> int:
     algebra = _load_algebra(args.algebra, _parse_field_flag(args.field))
+    if algebra.field.is_rational:
+        raise ParseError("findim enumerates modules and needs a finite field (use --field gfp:p)")
     fr = findim_estimate(algebra, args.max_dim, args.cutoff, budget=args.budget)
     report = _envelope(
         args, "findim", max_dim=args.max_dim, cutoff=args.cutoff, budget=args.budget
@@ -169,24 +173,16 @@ def cmd_findim(args) -> int:
 def cmd_invariants(args) -> int:
     algebra = _load_algebra(args.algebra, _parse_field_flag(args.field))
     x = complex_from_json(algebra, _load_json(args.complex_x))
-    y = (
-        complex_from_json(algebra, _load_json(args.complex_y))
-        if args.complex_y
-        else x
-    )
+    y = complex_from_json(algebra, _load_json(args.complex_y)) if args.complex_y else None
     try:
-        supp = hom_support(x, y)
-        h = h_value(x, y)
-        amp = amplitude(x)
+        inv = invariants_report(x, y)
     except NotPerfectError:
         print("error: x is not a complex of projectives", file=sys.stderr)
         return EXIT_NOT_PERFECT
     report = _envelope(args, "invariants")
-    report["support"] = supp.to_json()
-    report["h"] = h
-    report["amplitude"] = amp
+    report.update(inv)
     _emit(report, args)
-    print(f"support: {supp.to_json()}  h: {h}  amplitude: {amp}")
+    print(f"support: {inv['support']}  h: {inv['h']}  amplitude: {inv['amplitude']}")
     return EXIT_OK
 
 
@@ -287,6 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.cutoff < 1:
+            raise ParseError(f"--cutoff must be >= 1, got {args.cutoff}")
         return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

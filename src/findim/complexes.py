@@ -17,13 +17,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, kernel_basis, rank, solve, solve_matrix, column_space_basis
+from .linalg import (
+    Matrix,
+    column_space_basis,
+    complement_columns,
+    kernel_basis,
+    rank,
+    solve,
+    solve_matrix,
+)
 from .modules import (
     Module,
     ModuleMap,
     direct_sum_modules,
-    hom_space,
-    map_coordinates,
     map_from_generator_images,
     projective_cover,
     projsum_module,
@@ -429,26 +435,18 @@ def cohomology(x: Complex, n: int) -> Module:
     fld = alg.field
     nv = alg.num_vertices
     term = x.term(n)
-    cycles = []  # per vertex: basis of ker d^n
     bounds = []  # per vertex: basis of im d^{n-1}
     reps = []  # per vertex: chosen coset representatives (columns in the term)
     for v in range(nv):
         z = kernel_basis(x.diff(n).mats[v])
         b = column_space_basis(x.diff(n - 1).mats[v])
-        chosen_cols = []
-        span = b
-        for c in range(z.cols):
-            cand = Matrix.hstack(fld, [span, Matrix(fld, z.rows, 1, [[z.data[r][c]] for r in range(z.rows)])])
-            if rank(cand) > span.cols:
-                span = cand
-                chosen_cols.append(c)
+        chosen_cols = complement_columns(b, z)
         rep = Matrix(
             fld,
             term.dims[v],
             len(chosen_cols),
             [[z.data[r][c] for c in chosen_cols] for r in range(term.dims[v])],
         )
-        cycles.append(z)
         bounds.append(b)
         reps.append(rep)
     dims = [reps[v].cols for v in range(nv)]
@@ -555,13 +553,8 @@ class HomComplex:
         out: Dict[int, ModuleMap] = {}
         pos = 0
         for k, d in self._blocks.get(n, []):
-            verts = self.x.proj_verts[k]
-            tgt = self.y.term(k + n)
-            images = []
-            for i in verts:
-                images.append(coords[pos : pos + tgt.dims[i]])
-                pos += tgt.dims[i]
-            out[k] = map_from_generator_images(self.algebra, verts, tgt, images)
+            out[k] = self.decode_block(n, k, coords[pos : pos + d])
+            pos += d
         return out
 
     def encode(self, n: int, maps: Dict[int, ModuleMap]) -> List:
@@ -651,123 +644,21 @@ def chain_map_basis(x: Complex, y: Complex) -> List[ChainMap]:
 # -- null-homotopy -----------------------------------------------------------
 
 
-class _HomCoords:
-    """Coordinate system on Hom_A(src, tgt), Yoneda-style when possible."""
-
-    def __init__(self, algebra, src: Module, tgt: Module, verts: Optional[Tuple[int, ...]]):
-        self.algebra = algebra
-        self.src = src
-        self.tgt = tgt
-        self.verts = verts
-        if verts is not None:
-            self.dim = yoneda_dim(algebra, verts, tgt)
-            self.basis = None
-        else:
-            self.basis = hom_space(src, tgt)
-            self.dim = len(self.basis)
-
-    def to_map(self, coords: Sequence) -> ModuleMap:
-        if self.verts is not None:
-            images = []
-            pos = 0
-            for i in self.verts:
-                images.append(list(coords[pos : pos + self.tgt.dims[i]]))
-                pos += self.tgt.dims[i]
-            return map_from_generator_images(self.algebra, self.verts, self.tgt, images)
-        acc = ModuleMap.zero(self.src, self.tgt)
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                acc = acc + b.scale(c)
-        return acc
-
-    def coords_of(self, f: ModuleMap) -> Optional[List]:
-        if self.verts is not None:
-            return yoneda_coordinates(self.algebra, self.verts, f)
-        return map_coordinates(f, self.basis)
-
-
 def null_homotopy(f: ChainMap) -> Optional[Homotopy]:
     """Solve f = d_Y o h + h o d_X exactly; a witness or None.
 
-    Free variables of the linear system are pinned to zero, so the witness
-    is deterministic.
+    The homotopy h is a degree -1 element of the Hom complex with
+    delta(h) = f.  Free variables are pinned to zero, so the witness is
+    deterministic.  The source must carry projective descriptors.
     """
     x, y = f.source, f.target
-    alg = x.algebra
-    fld = alg.field
-    degs = sorted(set(x.terms) | set(y.terms) | set(f.comps))
-    if not degs:
-        return Homotopy(x, y, {})
-    lo, hi = degs[0] - 1, degs[-1] + 1
-
-    def xverts(n):
-        return x.proj_verts.get(n) if x.proj_verts is not None else None
-
-    # unknown blocks: h^n : x^n -> y^{n-1}
-    h_sys: Dict[int, _HomCoords] = {}
-    offsets: Dict[int, int] = {}
-    nvars = 0
-    for n in range(lo, hi + 1):
-        if x.term(n).is_zero() or y.term(n - 1).is_zero():
-            continue
-        sysn = _HomCoords(alg, x.term(n), y.term(n - 1), xverts(n))
-        if sysn.dim == 0:
-            continue
-        h_sys[n] = sysn
-        offsets[n] = nvars
-        nvars += sysn.dim
-
-    # equation blocks: coordinates in Hom(x^n, y^n)
-    eq_sys: Dict[int, _HomCoords] = {}
-    eq_offsets: Dict[int, int] = {}
-    neqs = 0
-    for n in range(lo, hi + 1):
-        if x.term(n).is_zero() or y.term(n).is_zero():
-            if not f.comp(n).is_zero():
-                return None
-            continue
-        sysn = _HomCoords(alg, x.term(n), y.term(n), xverts(n))
-        eq_sys[n] = sysn
-        eq_offsets[n] = neqs
-        neqs += sysn.dim
-
-    big = Matrix.zeros(fld, neqs, nvars)
-    rhs: List = [fld.zero()] * neqs
-    for n, sysn in eq_sys.items():
-        coords = sysn.coords_of(f.comp(n))
-        if coords is None:
-            return None
-        rhs[eq_offsets[n] : eq_offsets[n] + sysn.dim] = coords
-    for n, hs in h_sys.items():
-        for j in range(hs.dim):
-            unit = [fld.zero()] * hs.dim
-            unit[j] = fld.one()
-            hmap = hs.to_map(unit)
-            # contribution d_Y^{n-1} o h^n to equation n
-            if n in eq_sys:
-                up = y.diff(n - 1).compose(hmap)
-                c_up = eq_sys[n].coords_of(up)
-                if c_up is None:
-                    return None
-                for r, val in enumerate(c_up):
-                    big.data[eq_offsets[n] + r][offsets[n] + j] = val
-            # contribution h^n o d_X^{n-1} to equation n-1
-            if n - 1 in eq_sys:
-                back = hmap.compose(x.diff(n - 1))
-                c_back = eq_sys[n - 1].coords_of(back)
-                if c_back is None:
-                    return None
-                for r, val in enumerate(c_back):
-                    prev = big.data[eq_offsets[n - 1] + r][offsets[n] + j]
-                    big.data[eq_offsets[n - 1] + r][offsets[n] + j] = fld.add(prev, val)
-    sol = solve(big, rhs)
+    if x.proj_verts is None:
+        raise NotPerfectError("null_homotopy needs a source of projectives")
+    hc = HomComplex(x, y)
+    sol = solve(hc.diff_matrix(-1), hc.encode(0, f.comps))
     if sol is None:
         return None
-    maps: Dict[int, ModuleMap] = {}
-    for n, hs in h_sys.items():
-        block = sol[offsets[n] : offsets[n] + hs.dim]
-        if any(c != 0 for c in block):
-            maps[n] = hs.to_map(block)
+    maps = {k: g for k, g in hc.decode(-1, sol).items() if not g.is_zero()}
     h = Homotopy(x, y, maps)
     if not h.certifies(f):
         raise RuntimeError("homotopy solver produced an invalid witness")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from .linalg import Matrix
 from .modules import (
@@ -89,16 +89,21 @@ def hom_support(x: Complex, y: Complex) -> HomSupport:
     return HomSupport(hom_complex(x, y).cohomology_dims())
 
 
+def _diameter(s: HomSupport) -> int:
+    return 0 if s.is_empty else s.max - s.min + 1
+
+
+def _reach(s: HomSupport) -> int:
+    return max((abs(n) for n in s.dims), default=0)
+
+
 def h_value(x: Complex, y: Complex) -> int:
     """Diameter of the Hom-support: 0 when empty, else max - min + 1.
 
     This is the least n such that any two support degrees i, j satisfy
     |i - j| < n.
     """
-    s = hom_support(x, y)
-    if s.is_empty:
-        return 0
-    return s.max - s.min + 1
+    return _diameter(hom_support(x, y))
 
 
 def in_hom_p(x: Complex, y: Complex, p: int) -> bool:
@@ -107,30 +112,20 @@ def in_hom_p(x: Complex, y: Complex, p: int) -> bool:
 
 def amplitude(x: Complex) -> int:
     """Largest |n| with Hom(x, shift(x, n)) nonzero; 0 for empty support."""
-    s = hom_support(x, x)
-    if s.is_empty:
-        return 0
-    return max(abs(n) for n in s.dims)
-
-
-def is_homologically_finite(
-    x: Complex, probes: Sequence[Complex]
-) -> Tuple[bool, List[int]]:
-    """h(x, y) for each probe; finite for bounded complexes, so always True.
-
-    The point of the report is the list of per-probe values.
-    """
-    values = [h_value(x, y) for y in probes]
-    return True, values
+    return _reach(hom_support(x, x))
 
 
 def invariants_report(x: Complex, y: Optional[Complex] = None) -> dict:
-    """JSON-ready summary {"support": .., "h": .., "amplitude": ..}."""
-    other = y if y is not None else x
+    """JSON-ready summary {"support": .., "h": .., "amplitude": ..}.
+
+    The support and h are taken against y, or against x itself when y is
+    None; each Hom complex is built once.
+    """
+    s = hom_support(x, y if y is not None else x)
     return {
-        "support": hom_support(x, other).to_json(),
-        "h": h_value(x, other),
-        "amplitude": amplitude(x),
+        "support": s.to_json(),
+        "h": _diameter(s),
+        "amplitude": _reach(s) if y is None else amplitude(x),
     }
 
 

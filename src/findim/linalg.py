@@ -134,10 +134,6 @@ class Matrix:
         nc = len(rows[0]) if nr else 0
         return cls(field, nr, nc, rows)
 
-    @classmethod
-    def column(cls, field: Field, entries: Sequence) -> "Matrix":
-        return cls(field, len(entries), 1, [[e] for e in entries])
-
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.rows, self.cols, [row[:] for row in self.data])
 
@@ -373,6 +369,18 @@ def kernel_basis(a: Matrix) -> Matrix:
             v[pc] = f.neg(red.data[r][fc])
         cols.append(v)
     return Matrix(f, a.cols, len(cols), [[c[i] for c in cols] for i in range(a.cols)])
+
+
+def complement_columns(span: Matrix, cands: Matrix) -> List[int]:
+    """Indices of the columns of ``cands`` that extend the independent
+    columns of ``span`` to a basis of their joint span.
+
+    A column is chosen when it is outside the span of ``span`` and of the
+    candidates before it, which are exactly the pivot columns of one rref
+    of ``[span | cands]`` past ``span``.
+    """
+    _, pivots = rref(Matrix.hstack(span.field, [span, cands], rows=span.rows))
+    return [c - span.cols for c in pivots if c >= span.cols]
 
 
 def column_space_basis(a: Matrix) -> Matrix:

@@ -15,9 +15,16 @@ cheap and canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, column_space_basis, kernel_basis, rank, solve, solve_matrix
+from .linalg import (
+    Matrix,
+    column_space_basis,
+    complement_columns,
+    kernel_basis,
+    rank,
+    solve_matrix,
+)
 
 
 class Module:
@@ -266,16 +273,6 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
     return basis
 
 
-def map_coordinates(f_map: ModuleMap, basis: List[ModuleMap]) -> Optional[List]:
-    """Coordinates of a module map in a given Hom basis (None if outside)."""
-    fld = f_map.source.algebra.field
-    flat = lambda g: [x for mat in g.mats for row in mat.data for x in row]
-    cols = [flat(b) for b in basis]
-    target = flat(f_map)
-    a = Matrix(fld, len(target), len(cols), [[c[i] for c in cols] for i in range(len(target))])
-    return solve(a, target)
-
-
 # -- projective sums and Yoneda-style maps ----------------------------------
 
 
@@ -375,21 +372,10 @@ def projective_cover(m: Module) -> Tuple[Module, ModuleMap, List[int]]:
     verts: List[int] = []
     images: List[List] = []
     for v in range(alg.num_vertices):
-        span = rad[v]
-        chosen: List[List] = []
-        for e in range(m.dims[v]):
-            cand = [f.one() if r == e else f.zero() for r in range(m.dims[v])]
-            test = Matrix.hstack(
-                f,
-                [span]
-                + [Matrix.column(f, c) for c in chosen]
-                + [Matrix.column(f, cand)],
-            )
-            if rank(test) > span.cols + len(chosen):
-                chosen.append(cand)
-        for c in chosen:
+        eye = Matrix.identity(f, m.dims[v])
+        for e in complement_columns(rad[v], eye):
             verts.append(v)
-            images.append(c)
+            images.append(eye.col(e))
     cover = map_from_generator_images(alg, verts, m, images)
     return cover.source, cover, verts
 
@@ -451,15 +437,7 @@ def quotient_module(m: Module, sub: Sequence[Matrix]) -> Tuple[Module, ModuleMap
     nv = alg.num_vertices
     reps: List[Matrix] = []
     for v in range(nv):
-        span = sub[v]
-        chosen = []
-        for c in range(m.dims[v]):
-            e = Matrix.zeros(f, m.dims[v], 1)
-            e.data[c][0] = f.one()
-            cand = Matrix.hstack(f, [span, e])
-            if rank(cand) > span.cols:
-                span = cand
-                chosen.append(c)
+        chosen = complement_columns(sub[v], Matrix.identity(f, m.dims[v]))
         rep = Matrix.zeros(f, m.dims[v], len(chosen))
         for k, c in enumerate(chosen):
             rep.data[c][k] = f.one()
@@ -578,6 +556,22 @@ class ResolutionReport:
     status: PdResult
 
 
+def resolution_steps(m: Module) -> Iterator[Tuple[Module, List[int], ModuleMap, Module]]:
+    """The minimal projective resolution of m, one term at a time.
+
+    Yields (P_k, verts_k, d_k, Omega^{k+1}) for k = 0, 1, ...: the cover
+    P_k of Omega^k with its summand vertices, the differential
+    d_k : P_k -> P_{k-1} (the augmentation P_0 -> m when k = 0), and the
+    next syzygy.  Stops after the first zero syzygy, and at once for m = 0.
+    """
+    current, prev_incl = m, None
+    while not current.is_zero():
+        proj, cover, verts = projective_cover(current)
+        ker, incl = kernel_of(cover)
+        yield proj, verts, cover if prev_incl is None else prev_incl.compose(cover), ker
+        current, prev_incl = ker, incl
+
+
 def minimal_resolution(m: Module, cutoff: int, iso_bound: int = 2**16) -> ResolutionReport:
     """Iterate projective covers and syzygies up to the cutoff.
 
@@ -591,37 +585,25 @@ def minimal_resolution(m: Module, cutoff: int, iso_bound: int = 2**16) -> Resolu
         return ResolutionReport(m, [], [], [], None, PdResult("finite", 0))
     terms: List[Module] = []
     term_verts: List[List[int]] = []
-    diffs: List[ModuleMap] = []
-    aug: Optional[ModuleMap] = None
+    diffs: List[ModuleMap] = []  # d_0 (the augmentation), d_1, ...
     syzygies: List[Module] = [m]  # Omega^0, Omega^1, ...
-    current = m
-    prev_incl: Optional[ModuleMap] = None
-    for k in range(cutoff + 1):
-        proj, cover, verts = projective_cover(current)
+    status = PdResult("at_least_cutoff")
+    for k, (proj, verts, d, ker) in zip(range(cutoff + 1), resolution_steps(m)):
         terms.append(proj)
         term_verts.append(verts)
-        if k == 0:
-            aug = cover
-        else:
-            diffs.append(prev_incl.compose(cover))
-        ker, incl = kernel_of(cover)
+        diffs.append(d)
         if ker.is_zero():
-            return ResolutionReport(m, terms, term_verts, diffs, aug, PdResult("finite", k))
-        for j, old in enumerate(syzygies):
-            iso = modules_isomorphic(old, ker, iso_bound)
-            if iso:
-                return ResolutionReport(
-                    m,
-                    terms,
-                    term_verts,
-                    diffs,
-                    aug,
-                    PdResult("infinite_periodic", None, (j, k + 1)),
-                )
+            status = PdResult("finite", k)
+            break
+        j = next(
+            (j for j, old in enumerate(syzygies) if modules_isomorphic(old, ker, iso_bound)),
+            None,
+        )
+        if j is not None:
+            status = PdResult("infinite_periodic", None, (j, k + 1))
+            break
         syzygies.append(ker)
-        current = ker
-        prev_incl = incl
-    return ResolutionReport(m, terms, term_verts, diffs, aug, PdResult("at_least_cutoff"))
+    return ResolutionReport(m, terms, term_verts, diffs[1:], diffs[0], status)
 
 
 def proj_dim(m: Module, cutoff: int, iso_bound: int = 2**16) -> PdResult:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,14 +6,18 @@ import pytest
 from findim import (
     BudgetExceededError,
     ChainMap,
+    Matrix,
+    ModuleMap,
     amplitude,
     certificate_for_hom_p,
     certificate_from_resolution,
+    direct_sum,
     enumerate_modules,
     findim_estimate,
     finitistic_generator,
     ghost_maps,
     ghost_pd_oracle,
+    null_homotopy,
     proj_dim,
     random_perfect_complex,
     regularity_check,
@@ -20,8 +25,17 @@ from findim import (
     stalk_complex,
     verify_certificate,
 )
-from findim.certificates import minimize_perfect
-from findim.complexes import cohomology_dims, induced_cohomology_zero, is_acyclic, cone
+from findim.certificates import (
+    ConeStep,
+    LeafStep,
+    RetractStep,
+    SumStep,
+    ThickCertificate,
+    leaf_object,
+    minimize_perfect,
+)
+from findim.complexes import Homotopy, cohomology_dims, induced_cohomology_zero, is_acyclic, cone
+from findim.serialize import certificate_from_json, certificate_to_json, dumps
 from findim.invariants import hom_support
 from util import a2, dual_numbers, k_algebra, nakayama3
 
@@ -125,6 +139,64 @@ def test_tampered_certificate_detected():
     result = verify_certificate(cert, stalk_complex(s0, 0), a)
     assert not result.ok
     assert any("level" in d for d in result.diagnostics)
+
+
+def _retract_cert(steps, z, p, s):
+    """Close a construction with a retract of step z through p, s and a
+    homotopy h from null_homotopy(p o s - id)."""
+    obj = p.target
+    h = null_homotopy(p.compose(s) - ChainMap.identity(obj))
+    steps.append(RetractStep(z, p, s, h, obj, steps[z].level))
+    return ThickCertificate("A", steps, steps[z].level, ChainMap.identity(obj))
+
+
+def _leaf_off_sum(a):
+    """P_0 split off the level-1 sum P_0 + P_1 by inclusion and projection."""
+    fld = a.field
+    leaf, other = leaf_object(a, 0, 0), leaf_object(a, 1, 0)
+    total = direct_sum(a, [leaf, other])
+    incl = []
+    for v, d in enumerate(leaf.term(0).dims):
+        rows = total.term(0).dims[v]
+        incl.append(Matrix(fld, rows, d, [[int(r == c) for c in range(d)] for r in range(rows)]))
+    s = ChainMap(leaf, total, {0: ModuleMap(leaf.term(0), total.term(0), incl)})
+    p = ChainMap(total, leaf, {0: ModuleMap(total.term(0), leaf.term(0), [m.transpose() for m in incl])})
+    steps = [LeafStep(0, 0, leaf), LeafStep(1, 0, other), SumStep([0, 1], total, 1)]
+    return _retract_cert(steps, 2, p, s)
+
+
+def _cone_through_zero(a):
+    """The contractible cone C of id on a leaf is a retract of itself through
+    the zero section, since 0 is homotopic to id_C."""
+    leaf = leaf_object(a, 0, 0)
+    c = cone(ChainMap.identity(leaf))
+    steps = [LeafStep(0, 0, leaf), ConeStep(0, 0, ChainMap.identity(leaf), c, 2)]
+    return _retract_cert(steps, 1, ChainMap.identity(c), ChainMap.zero(c, c))
+
+
+@pytest.mark.parametrize("build", [_leaf_off_sum, _cone_through_zero])
+def test_retract_certificate_verifies_and_roundtrips(build):
+    a = a2()
+    cert = build(a)
+    target = cert.compare.target
+    assert verify_certificate(cert, target, a).ok
+    doc = json.loads(dumps(certificate_to_json(cert, target)))
+    back = certificate_from_json(a, doc)
+    assert verify_certificate(back, target, a).ok
+    assert certificate_to_json(back, target) == doc
+
+
+def test_retract_certificate_tampering_names_the_step():
+    a = a2()
+    cert = _leaf_off_sum(a)
+    cert.steps[3].level = 2
+    result = verify_certificate(cert, cert.compare.target, a)
+    assert not result.ok and result.diagnostics[-1].startswith("step 3: retract level")
+    cert = _cone_through_zero(a)
+    assert cert.steps[2].h.maps  # a nonzero homotopy, so tampering with it shows
+    cert.steps[2].h = Homotopy(cert.steps[2].obj, cert.steps[2].obj, {})
+    result = verify_certificate(cert, cert.compare.target, a)
+    assert not result.ok and result.diagnostics[-1].startswith("step 2: homotopy")
 
 
 def test_minimize_perfect_properties():

@@ -37,6 +37,25 @@ def test_field_flag_override(capsys):
     assert main(["pd", data("a2.json"), data("a2_s0.json"), "--field", "bogus"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pd", "a2.json", "a2_s0.json", "--field", "gfp:x"],
+        ["pd", "a2.json", "a2_s0.json", "--field", "gfp:4"],
+        ["pd", "a2.json", "a2_s0.json", "--cutoff", "0"],
+        ["ghost", "a2.json", "a2_s0.json", "1", "--cutoff", "0"],
+        ["findim", "a2.json", "--cutoff", "0"],
+        ["findim", "a2.json", "--field", "Q"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_exit_2_without_traceback(argv, capsys):
+    argv = [data(a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_findim_report_and_exit(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["findim", data("a2.json"), "--max-dim", "2", "--json", str(out)]) == 0

@@ -135,6 +135,17 @@ def test_null_homotopy_certifies():
     assert h.certifies(ChainMap.identity(c))
 
 
+def test_null_homotopy_needs_projective_descriptors():
+    a = a2()
+    x = res_s0(a)
+    bare = Complex(a, dict(x.terms), dict(x.diffs))
+    with pytest.raises(NotPerfectError):
+        null_homotopy(ChainMap.identity(bare))
+    s = stalk_complex(a.simple(0), 0)
+    with pytest.raises(NotPerfectError):
+        null_homotopy(ChainMap.zero(s, s))
+
+
 def test_standardize_perfect():
     a = a2()
     x = res_s0(a)

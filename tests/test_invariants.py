@@ -21,7 +21,6 @@ from findim.invariants import (
     ResolutionCutoffError,
     algebra_complex,
     invariants_report,
-    is_homologically_finite,
 )
 from util import a2, dual_numbers, k_algebra, nakayama3
 
@@ -67,15 +66,6 @@ def test_h_value_and_hom_p():
     z = cone(ChainMap.identity(aa))
     assert h_value(aa, z) == 0
     assert in_hom_p(aa, z, 0)
-
-
-def test_is_homologically_finite():
-    a = nakayama3()
-    aa = algebra_complex(a)
-    probes = [stalk_complex(a.simple(i), 0) for i in range(3)]
-    finite, values = is_homologically_finite(aa, probes)
-    assert finite
-    assert values == [1, 1, 1]
 
 
 def test_invariants_report_shape():

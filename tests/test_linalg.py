@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from findim.linalg import (
     Field,
     Matrix,
     column_space_basis,
+    complement_columns,
     in_span,
     kernel_basis,
     rank,
@@ -126,3 +128,44 @@ def test_matmul_shape_errors():
     f = GF(2)
     with pytest.raises(ValueError):
         Matrix.identity(f, 2) @ Matrix.identity(f, 3)
+
+
+def _greedy_complement(span, cands):
+    """Reference: scan the candidates left to right, keeping each one that
+    raises the rank of everything kept so far."""
+    f = span.field
+    kept, chosen = span, []
+    for j in range(cands.cols):
+        test = Matrix.hstack(f, [kept, Matrix(f, cands.rows, 1, [[x] for x in cands.col(j)])])
+        if rank(test) > kept.cols:
+            kept, chosen = test, chosen + [j]
+    return chosen
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+def test_complement_columns_matches_greedy_scan(field):
+    rng = random.Random(31)
+
+    def scalar():
+        return rng.randrange(field.p) if field.p else Fraction(rng.randint(-2, 2))
+
+    for _ in range(60):
+        rows = rng.randint(0, 5)
+        ncols = rng.randint(0, 4)
+        span = column_space_basis(
+            Matrix(field, rows, ncols, [[scalar() for _ in range(ncols)] for _ in range(rows)])
+        )
+        cols = []
+        for _ in range(rng.randint(0, 6)):
+            pool = [span.col(c) for c in range(span.cols)] + cols
+            if pool and rng.random() < 0.5:
+                # a combination of span columns and earlier candidates
+                vec = [field.zero()] * rows
+                for src in rng.sample(pool, rng.randint(1, len(pool))):
+                    c = scalar()
+                    vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, src)]
+            else:
+                vec = [scalar() for _ in range(rows)]
+            cols.append(vec)
+        cands = Matrix(field, rows, len(cols), [[c[r] for c in cols] for r in range(rows)])
+        assert complement_columns(span, cands) == _greedy_complement(span, cands)
