@@ -285,6 +285,8 @@ def main(argv=None) -> int:
     try:
         if args.cutoff < 1:
             raise ParseError(f"--cutoff must be >= 1, got {args.cutoff}")
+        if args.max_dim < 0:
+            raise ParseError(f"--max-dim must be >= 0, got {args.max_dim}")
         return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -383,6 +383,31 @@ def complement_columns(span: Matrix, cands: Matrix) -> List[int]:
     return [c - span.cols for c in pivots if c >= span.cols]
 
 
+def _invertible_mod_p(rows: Sequence[List[int]], p: int) -> bool:
+    """Whether the square matrix with these int rows is invertible mod p.
+
+    Forward elimination that stops at the first column without a pivot.
+    The row lists are read, never written.
+    """
+    a = list(rows)
+    n = len(a)
+    for c in range(n):
+        for r in range(c, n):
+            if a[r][c]:
+                break
+        else:
+            return False
+        piv = a[r]
+        a[r] = a[c]
+        inv = pow(piv[c], -1, p)
+        for i in range(c + 1, n):
+            x = a[i][c]
+            if x:
+                t = x * inv % p
+                a[i] = [(y - t * z) % p for y, z in zip(a[i], piv)]
+    return True
+
+
 def column_space_basis(a: Matrix) -> Matrix:
     """Columns of ``a`` indexed by the pivot columns of its rref."""
     _, pivots = rref(a)

@@ -19,6 +19,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
     Matrix,
+    _invertible_mod_p,
     column_space_basis,
     complement_columns,
     kernel_basis,
@@ -473,6 +474,16 @@ def modules_isomorphic(
 
     Returns True/False when decided, None when the number of candidates
     p^dim Hom exceeds search_bound or the field is infinite.
+
+    With b_0, ..., b_{k-1} the basis of hom_space(m, n), the candidate for
+    idx = 1, ..., p^k - 1 is sum_j c_j b_j, where c_j is the j-th base-p
+    digit of idx (c_0 the lowest); the first invertible one decides True.
+    The candidate is kept as a flat list of ints mod p and updated in place:
+    from idx to idx + 1 every digit that changes goes up by 1 mod p (the
+    low digits wrap from p-1 to 0, the carry digit grows), so the nonzero
+    entries of b_j are added once for each changed digit j, about p/(p-1)
+    additions of a basis map per candidate.  Each fibre block is then
+    tested by elimination mod p, stopping at the first singular one.
     """
     if m.dims != n.dims:
         return False
@@ -485,20 +496,34 @@ def modules_isomorphic(
     if f.is_rational or f.p ** len(basis) > search_bound:
         return None
     p = f.p
-    coeffs = [0] * len(basis)
-    total = p ** len(basis)
-    for idx in range(1, total):
-        x = idx
-        for k in range(len(basis)):
-            coeffs[k] = x % p
-            x //= p
-        cand = None
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            term = basis[k].scale(c)
-            cand = term if cand is None else cand + term
-        if cand is not None and cand.is_isomorphism():
+    # a map is one row-major int list over its fibres, block (offset, d)
+    # for each nonzero fibre of dim d; a basis map keeps its nonzero entries
+    blocks = []
+    size = 0
+    for d in m.dims:
+        if d:
+            blocks.append((size, d))
+            size += d * d
+    steps = []
+    for b in basis:
+        flat = [e for mat in b.mats for row in mat.data for e in row]
+        steps.append([(i, e) for i, e in enumerate(flat) if e])
+    cand = [0] * size
+    digits = [0] * len(basis)
+    for _ in range(1, p ** len(basis)):
+        j = 0
+        while digits[j] == p - 1:
+            digits[j] = 0
+            for i, x in steps[j]:
+                cand[i] = (cand[i] + x) % p
+            j += 1
+        digits[j] += 1
+        for i, x in steps[j]:
+            cand[i] = (cand[i] + x) % p
+        if all(
+            _invertible_mod_p([cand[s : s + d] for s in range(o, o + d * d, d)], p)
+            for o, d in blocks
+        ):
             return True
     return False
 

@@ -162,6 +162,12 @@ def module_from_json(algebra: FDAlgebra, doc: dict) -> Module:
     if len(dims) != algebra.num_vertices:
         raise ParseError("dim_vector length does not match the algebra")
     arrows_doc = doc.get("arrows", {})
+    if not isinstance(arrows_doc, dict):
+        raise ParseError(f"bad module document: arrows must be an object, got {arrows_doc!r}")
+    known = {a.id for a in algebra.quiver.arrows}
+    unknown = sorted(k for k in arrows_doc if k not in known)
+    if unknown:
+        raise ParseError(f"bad module document: unknown arrow id(s) {unknown}")
     mats = {}
     for a in algebra.quiver.arrows:
         if a.id in arrows_doc:
@@ -206,11 +212,17 @@ def complex_to_json(x: Complex) -> dict:
 
 
 def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("terms"), dict)
+        and isinstance(doc.get("differentials", {}), dict)
+    ):
+        raise ParseError('bad complex document: expected {"terms": {...}, "differentials": {...}}')
     terms: Dict[int, Module] = {}
     pv: Dict[int, tuple] = {}
     all_proj = True
     try:
-        for key, tdoc in doc.get("terms", {}).items():
+        for key, tdoc in doc["terms"].items():
             n = int(key)
             if isinstance(tdoc, dict) and "proj" in tdoc:
                 verts = _mults_to_verts(tdoc["proj"])

@@ -46,11 +46,24 @@ def test_field_flag_override(capsys):
         ["ghost", "a2.json", "a2_s0.json", "1", "--cutoff", "0"],
         ["findim", "a2.json", "--cutoff", "0"],
         ["findim", "a2.json", "--field", "Q"],
+        ["findim", "a2.json", "--max-dim", "-1"],
+        ["pd", "a2.json", '{"dim_vector": [1, 1], "arrows": {"zz": [[1]]}}'],
+        ["invariants", "a2.json", "a2_s0.json"],
     ],
     ids=" ".join,
 )
-def test_bad_input_exit_2_without_traceback(argv, capsys):
-    argv = [data(a) if a.endswith(".json") else a for a in argv]
+def test_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
+    """Arguments ending in .json name files in data/; arguments starting
+    with '{' are documents, written to a file first."""
+
+    def path(arg, k):
+        if arg.startswith("{"):
+            doc = tmp_path / f"doc{k}.json"
+            doc.write_text(arg)
+            return str(doc)
+        return data(arg) if arg.endswith(".json") else arg
+
+    argv = [path(a, k) for k, a in enumerate(argv)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,6 +1,24 @@
+import itertools
+import random
+
 import pytest
 
-from findim import GF, Matrix, Module, ModuleMap, hom_space, inj_dim, minimal_resolution, proj_dim, projective_cover, syzygy
+from findim import (
+    GF,
+    Matrix,
+    Module,
+    ModuleMap,
+    Quiver,
+    build_algebra,
+    hom_space,
+    inj_dim,
+    minimal_resolution,
+    proj_dim,
+    projective_cover,
+    random_module,
+    syzygy,
+)
+from findim.linalg import rank, solve_matrix
 from findim.modules import (
     direct_sum_modules,
     map_from_generator_images,
@@ -132,3 +150,107 @@ def test_iso_search_bound_returns_none():
     s3, _ = direct_sum_modules(a, [a.simple(0)] * 3)
     assert modules_isomorphic(s3, s3, search_bound=4) is None
     assert modules_isomorphic(s3, s3) is True
+    # dim End(S^3) = 9: 2^9 candidates are searched only when the bound allows 512
+    assert len(hom_space(s3, s3)) == 9
+    assert modules_isomorphic(s3, s3, search_bound=512) is True
+    assert modules_isomorphic(s3, s3, search_bound=511) is None
+
+
+def _reference_isomorphic(m, n, search_bound=2**16):
+    """The invertibility search built from ModuleMap.scale, + and
+    is_isomorphism, over the same candidates in the same order."""
+    if m.dims != n.dims:
+        return False
+    if m.is_zero():
+        return True
+    f = m.algebra.field
+    basis = hom_space(m, n)
+    if len(basis) == 0:
+        return False
+    if f.is_rational or f.p ** len(basis) > search_bound:
+        return None
+    p = f.p
+    for idx in range(1, p ** len(basis)):
+        cand = None
+        for k, b in enumerate(basis):
+            c = idx // p**k % p
+            if c:
+                term = b.scale(c)
+                cand = term if cand is None else cand + term
+        if cand.is_isomorphism():
+            return True
+    return False
+
+
+def _random_invertible(f, d, rng):
+    while True:
+        g = Matrix(f, d, d, [[rng.randrange(f.p) for _ in range(d)] for _ in range(d)])
+        if rank(g) == d:
+            return g
+
+
+def _conjugate(m, rng):
+    """An isomorphic copy of m: arrow a becomes g_t a g_s^-1 for random
+    invertible g_v per vertex."""
+    f = m.algebra.field
+    gs = [_random_invertible(f, d, rng) for d in m.dims]
+    inv = [solve_matrix(g, Matrix.identity(f, g.rows)) for g in gs]
+    mats = {
+        a.id: gs[a.target] @ m.arrow_mats[a.id] @ inv[a.source]
+        for a in m.algebra.quiver.arrows
+    }
+    return Module(m.algebra, m.dims, mats)
+
+
+def _kronecker(f):
+    """Two parallel arrows 0 -> 1: the regular modules of dims [1, 1]
+    with different parameters have zero Hom between them."""
+    return build_algebra(Quiver(2, [("a", 0, 1), ("b", 0, 1)]), [], f, 4)
+
+
+_REFERENCE_BOUND = 2**10
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_iso_search_matches_reference(p):
+    f = GF(p)
+    rng = random.Random(p)
+    decided = 0
+    for alg in (a2(f), dual_numbers(f), nakayama3(f), _kronecker(f)):
+        pool = [alg.simple(v) for v in range(alg.num_vertices)]
+        pool += [alg.projective(v) for v in range(alg.num_vertices)]
+        pool += [random_module(alg, rng) for _ in range(8)]
+        pool += [direct_sum_modules(alg, rng.sample(pool, 2))[0] for _ in range(8)]
+        pool = [m for m in pool if p ** len(hom_space(m, m)) <= _REFERENCE_BOUND]
+        for m in pool:
+            c = _conjugate(m, rng)
+            assert modules_isomorphic(m, c, _REFERENCE_BOUND) is True
+            assert _reference_isomorphic(m, c, _REFERENCE_BOUND) is True
+        for m, n in itertools.product(pool, repeat=2):
+            got = modules_isomorphic(m, n, _REFERENCE_BOUND)
+            assert got == _reference_isomorphic(m, n, _REFERENCE_BOUND)
+            decided += got is not None
+    assert decided > 0
+    # same dims, not isomorphic: P_0 against S_0 + S_1 on a2
+    a = a2(f)
+    s01, _ = direct_sum_modules(a, [a.simple(0), a.simple(1)])
+    assert modules_isomorphic(a.projective(0), s01) is False
+    assert _reference_isomorphic(a.projective(0), s01) is False
+    # same dims, zero Hom: the Kronecker modules (a, b) = (1, 0) and (0, 1)
+    k = _kronecker(f)
+    one, zero = Matrix(f, 1, 1, [[1]]), Matrix(f, 1, 1, [[0]])
+    r10 = Module(k, [1, 1], {"a": one, "b": zero})
+    r01 = Module(k, [1, 1], {"a": zero, "b": one})
+    assert hom_space(r10, r01) == []
+    assert modules_isomorphic(r10, r01) is False
+    assert _reference_isomorphic(r10, r01) is False
+
+
+def test_iso_search_heavy_case():
+    # End(S_0^4) on nakayama3 over GF(2) has dimension 16: the search
+    # visits thousands of candidates before the first invertible one
+    a = nakayama3()
+    s4, _ = direct_sum_modules(a, [a.simple(0)] * 4)
+    c = _conjugate(s4, random.Random(0))
+    assert len(hom_space(s4, c)) == 16
+    assert modules_isomorphic(s4, c) is True

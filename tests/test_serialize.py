@@ -99,3 +99,22 @@ def test_parse_errors():
         module_from_json(a, {"dim_vector": ["x", 0]})
     with pytest.raises(ParseError):
         complex_from_json(a, {"terms": {"0": {"proj": [1, 0]}, "zzz": {"proj": [1, 0]}}})
+
+
+def test_module_unknown_arrow_id_is_a_parse_error():
+    a = a2()
+    with pytest.raises(ParseError, match="zz"):
+        module_from_json(a, {"dim_vector": [1, 1], "arrows": {"zz": [[1]]}})
+    with pytest.raises(ParseError):
+        module_from_json(a, {"dim_vector": [1, 1], "arrows": [[[1]]]})
+
+
+def test_complex_document_needs_terms():
+    a = a2()
+    module_doc = module_to_json(a.simple(0))
+    bad = (module_doc, [], "x", {"differentials": {}}, {"terms": []}, {"terms": {}, "differentials": []})
+    for doc in bad:
+        with pytest.raises(ParseError):
+            complex_from_json(a, doc)
+    empty = complex_from_json(a, {"terms": {}, "differentials": {}})
+    assert empty.terms == {} and empty.diffs == {}
