@@ -4,6 +4,17 @@ Everything downstream (Hom spaces, syzygies, cohomology, homotopy systems)
 reduces to the three primitives here: reduced row echelon form, linear
 solve, and kernel bases.  No floating point anywhere; GF(p) elements are
 ints in [0, p), rational entries are ``fractions.Fraction``.
+
+Invariant: a ``Matrix`` holds canonical field elements (those two kinds
+only) in row lists that belong to it alone.  The public constructor
+``Matrix(field, rows, cols, data)`` establishes this for any input: it
+checks the shape, coerces every entry and copies every row.  Results built
+inside this module go through the private ``Matrix._of`` instead, which
+checks and copies nothing: it trusts that its data already holds canonical
+elements in freshly built rows, and takes ownership of them.  Over GF(p)
+the inner loops work on plain ints and reduce once per entry per row
+operation (once per output entry in a product), the delayed reduction of
+FFLAS-FFPACK; over Q they use the same loops with ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -113,12 +124,23 @@ class Matrix:
         self.cols = cols
         self.data = [[field.coerce(x) for x in r] for r in data]
 
+    @classmethod
+    def _of(cls, field: Field, rows: int, cols: int, data: List[List]) -> "Matrix":
+        """Trusted constructor: ``data`` must be rows x cols canonical
+        elements of ``field`` in row lists nothing else holds."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         z = field.zero()
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls._of(field, rows, cols, [[z] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -135,7 +157,7 @@ class Matrix:
         return cls(field, nr, nc, rows)
 
     def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [row[:] for row in self.data])
+        return Matrix._of(self.field, self.rows, self.cols, [row[:] for row in self.data])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -153,42 +175,40 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        f = self.field
-        return Matrix(
-            f,
-            self.rows,
-            self.cols,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
+        p = self.field.p
+        pairs = zip(self.data, other.data)
+        if p is None:
+            data = [[a + b for a, b in zip(ra, rb)] for ra, rb in pairs]
+        else:
+            data = [[(a + b) % p for a, b in zip(ra, rb)] for ra, rb in pairs]
+        return Matrix._of(self.field, self.rows, self.cols, data)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        f = self.field
-        return Matrix(
-            f,
-            self.rows,
-            self.cols,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
+        p = self.field.p
+        pairs = zip(self.data, other.data)
+        if p is None:
+            data = [[a - b for a, b in zip(ra, rb)] for ra, rb in pairs]
+        else:
+            data = [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in pairs]
+        return Matrix._of(self.field, self.rows, self.cols, data)
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(
-            f, self.rows, self.cols, [[f.neg(a) for a in row] for row in self.data]
-        )
+        p = self.field.p
+        if p is None:
+            data = [[-a for a in row] for row in self.data]
+        else:
+            data = [[-a % p for a in row] for row in self.data]
+        return Matrix._of(self.field, self.rows, self.cols, data)
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.coerce(c)
-        return Matrix(
-            f, self.rows, self.cols, [[f.mul(c, a) for a in row] for row in self.data]
-        )
+        c = self.field.coerce(c)
+        p = self.field.p
+        if p is None:
+            data = [[c * a for a in row] for row in self.data]
+        else:
+            data = [[c * a % p for a in row] for row in self.data]
+        return Matrix._of(self.field, self.rows, self.cols, data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -196,21 +216,20 @@ class Matrix:
                 f"shape mismatch for product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         f = self.field
-        out = Matrix.zeros(f, self.rows, other.cols)
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if a == 0:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    orow[j] = f.add(orow[j], f.mul(a, brow[j]))
-        return out
+        p = f.p
+        z = f.zero()
+        bdata = other.data
+        data = []
+        for srow in self.data:
+            acc = [z] * other.cols
+            for a, brow in zip(srow, bdata):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, brow)]
+            data.append(acc if p is None else [x % p for x in acc])
+        return Matrix._of(f, self.rows, other.cols, data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._of(
             self.field,
             self.cols,
             self.rows,
@@ -252,7 +271,7 @@ class Matrix:
         if any(m.rows != nr for m in mats):
             raise ValueError("row count mismatch in hstack")
         data = [sum((m.data[i] for m in mats), []) for i in range(nr)]
-        return Matrix(field, nr, sum(m.cols for m in mats), data)
+        return Matrix._of(field, nr, sum(m.cols for m in mats), data)
 
     @staticmethod
     def vstack(field: Field, mats: Sequence["Matrix"], cols: Optional[int] = None) -> "Matrix":
@@ -263,7 +282,7 @@ class Matrix:
         if any(m.cols != nc for m in mats):
             raise ValueError("column count mismatch in vstack")
         data = [row[:] for m in mats for row in m.data]
-        return Matrix(field, sum(m.rows for m in mats), nc, data)
+        return Matrix._of(field, sum(m.rows for m in mats), nc, data)
 
     @staticmethod
     def block_diag(field: Field, mats: Sequence["Matrix"]) -> "Matrix":
@@ -292,6 +311,7 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     taken as pivot, so the result is deterministic for a given input.
     """
     f = m.field
+    p = f.p
     a = [row[:] for row in m.data]
     pivots: List[int] = []
     r = 0
@@ -300,21 +320,29 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
             break
         pr = None
         for i in range(r, m.rows):
-            if a[i][c] != 0:
+            if a[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, x) for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
+        prow = a[pr]
+        a[pr] = a[r]
+        inv = f.inv(prow[c])
+        if p is None:
+            prow = [inv * x for x in prow]
+        else:
+            prow = [inv * x % p for x in prow]
+        a[r] = prow
+        for i, row in enumerate(a):
+            t = row[c]
+            if t and i != r:
+                if p is None:
+                    a[i] = [x - t * y for x, y in zip(row, prow)]
+                else:
+                    a[i] = [(x - t * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
-    return Matrix(f, m.rows, m.cols, a), pivots
+    return Matrix._of(f, m.rows, m.cols, a), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -331,7 +359,7 @@ def solve(a: Matrix, b: Sequence) -> Optional[List]:
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
     f = a.field
-    aug = Matrix(f, a.rows, a.cols + 1, [row + [b[i]] for i, row in enumerate(a.data)])
+    aug = Matrix._of(f, a.rows, a.cols + 1, [row + [f.coerce(x)] for row, x in zip(a.data, b)])
     red, pivots = rref(aug)
     if a.cols in pivots:
         return None
@@ -368,7 +396,7 @@ def kernel_basis(a: Matrix) -> Matrix:
         for r, pc in enumerate(pivots):
             v[pc] = f.neg(red.data[r][fc])
         cols.append(v)
-    return Matrix(f, a.cols, len(cols), [[c[i] for c in cols] for i in range(a.cols)])
+    return Matrix._of(f, a.cols, len(cols), [[c[i] for c in cols] for i in range(a.cols)])
 
 
 def complement_columns(span: Matrix, cands: Matrix) -> List[int]:
@@ -411,7 +439,7 @@ def _invertible_mod_p(rows: Sequence[List[int]], p: int) -> bool:
 def column_space_basis(a: Matrix) -> Matrix:
     """Columns of ``a`` indexed by the pivot columns of its rref."""
     _, pivots = rref(a)
-    return Matrix(
+    return Matrix._of(
         a.field,
         a.rows,
         len(pivots),

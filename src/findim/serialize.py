@@ -183,10 +183,18 @@ def module_from_json(algebra: FDAlgebra, doc: dict) -> Module:
 # -- complexes ---------------------------------------------------------------
 
 
-def _mults_to_verts(mults: List[int]):
+def _mults_to_verts(mults: List[int], num_vertices: int):
+    if not (
+        isinstance(mults, list)
+        and len(mults) == num_vertices
+        and all(type(k) is int and k >= 0 for k in mults)
+    ):
+        raise ParseError(
+            f'bad "proj" multiplicities {mults!r}: expected {num_vertices} non-negative integers'
+        )
     verts = []
     for v, k in enumerate(mults):
-        verts.extend([v] * int(k))
+        verts.extend([v] * k)
     return tuple(verts)
 
 
@@ -225,7 +233,7 @@ def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
         for key, tdoc in doc["terms"].items():
             n = int(key)
             if isinstance(tdoc, dict) and "proj" in tdoc:
-                verts = _mults_to_verts(tdoc["proj"])
+                verts = _mults_to_verts(tdoc["proj"], algebra.num_vertices)
                 terms[n], _ = projsum_module(algebra, verts)
                 pv[n] = verts
             else:
@@ -234,8 +242,9 @@ def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
         diffs: Dict[int, ModuleMap] = {}
         for key, mats_doc in doc.get("differentials", {}).items():
             n = int(key)
-            if n not in terms or n + 1 not in terms:
-                continue
+            for end in (n, n + 1):
+                if end not in terms:
+                    raise ParseError(f"differential at degree {n}: no term at degree {end}")
             src, tgt = terms[n], terms[n + 1]
             mats = [
                 matrix_from_json(algebra.field, tgt.dims[v], src.dims[v], mats_doc[v])

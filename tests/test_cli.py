@@ -49,6 +49,10 @@ def test_field_flag_override(capsys):
         ["findim", "a2.json", "--max-dim", "-1"],
         ["pd", "a2.json", '{"dim_vector": [1, 1], "arrows": {"zz": [[1]]}}'],
         ["invariants", "a2.json", "a2_s0.json"],
+        ["invariants", "a2.json", '{"terms": {"0": {"proj": [-1, 0]}}}'],
+        ["invariants", "a2.json", '{"terms": {"0": {"proj": [1.7, 0]}}}'],
+        ["invariants", "a2.json", '{"terms": {"0": {"proj": [1]}}}'],
+        ["invariants", "a2.json", '{"terms": {"0": {"proj": [1, 0]}}, "differentials": {"0": 5}}'],
     ],
     ids=" ".join,
 )

@@ -169,3 +169,223 @@ def test_complement_columns_matches_greedy_scan(field):
             cols.append(vec)
         cands = Matrix(field, rows, len(cols), [[c[r] for c in cols] for r in range(rows)])
         assert complement_columns(span, cands) == _greedy_complement(span, cands)
+
+
+# -- an independent Fraction reference for the linear-algebra core ----------
+
+ORACLE_FIELDS = [GF(2), GF(3), GF(257), QQ]
+
+
+def _ref(f, x):
+    """x as a Fraction, reduced to [0, p) over GF(p); no Field method used."""
+    x = Fraction(x)
+    if f.p is None:
+        return x
+    return Fraction(x.numerator * pow(x.denominator, -1, f.p) % f.p)
+
+
+def _ref_rows(f, rows):
+    return [[_ref(f, x) for x in row] for row in rows]
+
+
+def _ref_matmul(f, a, b, inner, cols):
+    def entry(row, j):
+        return _ref(f, sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)))
+
+    return [[entry(row, j) for j in range(cols)] for row in a]
+
+
+def _ref_entrywise(f, op, *mats):
+    return [[_ref(f, op(*xs)) for xs in zip(*rows)] for rows in zip(*mats)]
+
+
+def _ref_rref(f, rows, ncols):
+    """Textbook Gauss-Jordan.  It takes the last nonzero candidate as pivot,
+    not the first: the reduced echelon form does not depend on that choice."""
+    a = _ref_rows(f, rows)
+    pivots, r = [], 0
+    for c in range(ncols):
+        nonzero = [i for i in range(r, len(a)) if a[i][c] != 0]
+        if not nonzero:
+            continue
+        i = nonzero[-1]
+        a[r], a[i] = a[i], a[r]
+        inv = _ref(f, 1 / a[r][c])
+        a[r] = [_ref(f, inv * x) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                t = a[i][c]
+                a[i] = [_ref(f, x - t * y) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _ref_solve(f, rows, ncols, b):
+    red, pivots = _ref_rref(f, [row + [x] for row, x in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return x
+
+
+def _ref_kernel(f, rows, ncols):
+    """Kernel basis vectors: one per free column, pivot entries from the rref."""
+    red, pivots = _ref_rref(f, rows, ncols)
+    vecs = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = _ref(f, -red[r][fc])
+        vecs.append(v)
+    return vecs
+
+
+def _canonical(f, x):
+    if f.p is None:
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < f.p
+
+
+def _check_result(res, inputs):
+    """Every entry canonical, and no row list shared with an input or with
+    another row: the result is mutated and the inputs must read as before."""
+    before = [[list(row) for row in m.data] for m in inputs]
+    rows = res.data if isinstance(res, Matrix) else [res]
+    f = inputs[0].field
+    assert all(_canonical(f, x) for row in rows for x in row)
+    assert len({id(row) for row in rows}) == len(rows)
+    if isinstance(res, Matrix):
+        assert len(res.data) == res.rows and all(len(row) == res.cols for row in res.data)
+    for row in rows:
+        row.append(None)
+    assert [m.data for m in inputs] == before
+
+
+class _Sampler:
+    def __init__(self, field, seed):
+        self.f = field
+        self.rng = random.Random(seed)
+
+    def scalar(self):
+        rng = self.rng
+        if rng.random() < 0.3:
+            return 0
+        if self.f.p is None:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randrange(self.f.p)
+
+    def rows(self, nr, nc, rank=None):
+        """An nr x nc list of rows; of rank at most ``rank`` when given."""
+        if rank is None:
+            return [[self.scalar() for _ in range(nc)] for _ in range(nr)]
+        left, right = self.rows(nr, rank), self.rows(rank, nc)
+        return _ref_matmul(self.f, _ref_rows(self.f, left), _ref_rows(self.f, right), rank, nc)
+
+    def matrix(self, nr, nc, rank=None):
+        return Matrix(self.f, nr, nc, self.rows(nr, nc, rank))
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7)]
+DEFICIENT = [(4, 4, 1), (5, 6, 2), (6, 3, 2), (3, 5, 0)]
+
+
+def _oracle_matrices(s):
+    for _ in range(3):
+        for nr, nc in SHAPES:
+            yield s.matrix(nr, nc)
+        for nr, nc, k in DEFICIENT:
+            yield s.matrix(nr, nc, k)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_elimination_matches_reference(field):
+    s = _Sampler(field, 41)
+    for m in _oracle_matrices(s):
+        rows = _ref_rows(field, m.data)
+        red, pivots = rref(m)
+        ref_red, ref_pivots = _ref_rref(field, rows, m.cols)
+        assert (red.data, pivots) == (ref_red, ref_pivots)
+        _check_result(red, [m])
+
+        k = kernel_basis(m)
+        ref_k = _ref_kernel(field, rows, m.cols)
+        assert (k.rows, k.cols) == (m.cols, len(ref_k))
+        assert [k.col(j) for j in range(k.cols)] == ref_k
+        _check_result(k, [m])
+
+        basis = column_space_basis(m)
+        assert [basis.col(j) for j in range(basis.cols)] == [m.col(c) for c in ref_pivots]
+        _check_result(basis, [m])
+
+        x0 = s.rows(m.cols, 1)
+        consistent = [row[0] for row in _ref_matmul(field, rows, _ref_rows(field, x0), m.cols, 1)]
+        for b in (consistent, [s.scalar() for _ in range(m.rows)]):
+            x = solve(m, b)
+            ref_x = _ref_solve(field, rows, m.cols, b)
+            assert x == ref_x
+            if x is not None:
+                _check_result(x, [m])
+
+        for nb in (0, 2):
+            b = s.matrix(m.rows, nb)
+            ref_cols = [_ref_solve(field, rows, m.cols, b.col(j)) for j in range(nb)]
+            x = solve_matrix(m, b)
+            if any(c is None for c in ref_cols):
+                assert x is None
+            else:
+                assert (x.rows, x.cols) == (m.cols, nb)
+                assert [x.col(j) for j in range(nb)] == ref_cols
+                _check_result(x, [m, b])
+        _check_result(solve_matrix(m, m), [m])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_arithmetic_and_stacking_match_reference(field):
+    s = _Sampler(field, 43)
+    f = field
+    for m in _oracle_matrices(s):
+        rows = _ref_rows(f, m.data)
+        other = s.matrix(m.rows, m.cols)
+        orows = _ref_rows(f, other.data)
+        c = _ref(f, s.scalar())
+        n = m.rows
+        cases = [
+            (m + other, _ref_entrywise(f, lambda x, y: x + y, rows, orows), [m, other]),
+            (m - other, _ref_entrywise(f, lambda x, y: x - y, rows, orows), [m, other]),
+            (-m, _ref_entrywise(f, lambda x: -x, rows), [m]),
+            (m.scale(c), _ref_entrywise(f, lambda x: c * x, rows), [m]),
+            (m.transpose(), [list(col) for col in zip(*rows)] if n else [[]] * m.cols, [m]),
+            (m.copy(), rows, [m]),
+            (Matrix.identity(f, n), [[Fraction(i == j) for j in range(n)] for i in range(n)], [m]),
+            (Matrix.zeros(f, n, m.cols), [[Fraction(0)] * m.cols for _ in range(n)], [m]),
+        ]
+        for nc in (0, 3):
+            right = s.matrix(m.cols, nc)
+            ref = _ref_matmul(f, rows, _ref_rows(f, right.data), m.cols, nc)
+            cases.append((m @ right, ref, [m, right]))
+        wide, tall, small = s.matrix(n, 2), s.matrix(2, m.cols), s.matrix(2, 1)
+        wrows, trows, srows = (_ref_rows(f, x.data) for x in (wide, tall, small))
+        diag = [r + [Fraction(0)] for r in rows] + [[Fraction(0)] * m.cols + q for q in srows]
+        cases += [
+            (Matrix.hstack(f, [m, wide]), [r + q for r, q in zip(rows, wrows)], [m, wide]),
+            (Matrix.vstack(f, [m, tall]), rows + trows, [m, tall]),
+            (Matrix.block_diag(f, [m, small]), diag, [m, small]),
+        ]
+
+        for res, ref, inputs in cases:
+            assert res.field == f and res.data == ref
+            _check_result(res, inputs)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_public_constructor_coerces_and_copies(field):
+    data = [[1, -1, Fraction(2, 5)], [0, 5, "7/11"]]
+    m = Matrix(field, 2, 3, data)
+    assert m.data == _ref_rows(field, data)
+    assert all(_canonical(field, x) for row in m.data for x in row)
+    data[0][0] = 9
+    assert m.data[0][0] == 1

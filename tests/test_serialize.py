@@ -118,3 +118,17 @@ def test_complex_document_needs_terms():
             complex_from_json(a, doc)
     empty = complex_from_json(a, {"terms": {}, "differentials": {}})
     assert empty.terms == {} and empty.diffs == {}
+
+
+def test_dangling_differential_is_a_parse_error():
+    a = a2()
+    for key, missing in (("0", "1"), ("-1", "-1")):
+        doc = {"terms": {"0": {"proj": [1, 0]}}, "differentials": {key: 5}}
+        with pytest.raises(ParseError, match=f"no term at degree {missing}$"):
+            complex_from_json(a, doc)
+
+
+@pytest.mark.parametrize("mults", [[-1, 0], [1.7, 0], [1], [1, 0, 0], [True, 0], "10", None])
+def test_proj_multiplicities_must_be_non_negative_ints(mults):
+    with pytest.raises(ParseError, match="multiplicities"):
+        complex_from_json(a2(), {"terms": {"0": {"proj": mults}}})
