@@ -28,7 +28,7 @@ def main():
         verdicts = [ghost_pd_oracle(m, n, 12) for n in range(1, 4)]
         print(f"{name}: pd {pd.describe()}, oracle for n=1..3 -> {verdicts}")
 
-    maps, composite = ghost_maps(a2.simple(0), 2, 10)
+    maps, composite = ghost_maps(a2.simple(0), 2)
     print(f"built {len(maps)} ghost maps; each induces zero on cohomology:",
           all(induced_cohomology_zero(f) for f in maps))
 

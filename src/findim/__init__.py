@@ -25,10 +25,10 @@ from .modules import (
 from .complexes import (
     ChainMap,
     Complex,
+    HomComplex,
     Homotopy,
     cone,
     direct_sum,
-    hom_complex,
     null_homotopy,
     shift,
     stalk_complex,

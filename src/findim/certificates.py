@@ -11,6 +11,7 @@ is reported with the offending step index.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -18,7 +19,6 @@ from .linalg import Matrix, solve_matrix
 from .modules import (
     Module,
     ModuleMap,
-    PdResult,
     minimal_resolution,
     proj_dim,
     projsum_module,
@@ -40,11 +40,10 @@ from .complexes import (
     standardize_perfect,
     stalk_complex,
     stupid_truncate,
-    zero_module,
 )
 
 
-from .invariants import ResolutionCutoffError
+from .invariants import ResolutionCutoffError, random_perfect_complex, resolution_complex
 
 
 class BudgetExceededError(RuntimeError):
@@ -198,6 +197,37 @@ def finitistic_generator(algebra, d: int) -> Complex:
     return direct_sum(algebra, [ax, shift(ax, d)])
 
 
+THEOREM_ATTEMPTS_PER_SAMPLE = 40
+
+
+def theorem_samples(
+    algebra, d: int, count: int, cutoff: int, seed: int
+) -> Iterator[Tuple[Complex, int]]:
+    """Seeded random perfect complexes y for the main-theorem check, with
+    the width of their cohomology (0 when acyclic).
+
+    A draw is kept when its cohomology spans at most 3 degrees and every
+    cohomology module has projective dimension <= d within the cutoff.
+    Yields up to `count` pairs (y, width), and stops after
+    count * THEOREM_ATTEMPTS_PER_SAMPLE draws.
+    """
+    rng = random.Random(seed)
+    kept = 0
+    for _ in range(count * THEOREM_ATTEMPTS_PER_SAMPLE):
+        if kept == count:
+            return
+        y = random_perfect_complex(algebra, rng)
+        width = 0
+        hdims = cohomology_dims(y)
+        if hdims:
+            degs = sorted(hdims)
+            width = degs[-1] - degs[0] + 1
+            if width > 3 or any(not proj_dim(cohomology(y, n), cutoff).le(d) for n in degs):
+                continue
+        kept += 1
+        yield y, width
+
+
 def regularity_check(algebra, max_total_dim: int, cutoff: int, budget: int = 10**6) -> dict:
     """Evidence for regularity up to the bound: does every enumerated
     module have finite projective dimension?  Includes the global-dimension
@@ -274,10 +304,6 @@ class ThickCertificate:
     steps: List[CertStep]
     level: int
     compare: ChainMap  # final object -> target, must be a quasi-isomorphism
-
-    @property
-    def final_object(self) -> Complex:
-        return self.steps[-1].obj if self.steps else None
 
 
 def leaf_object(algebra, summand: int, k: int) -> Complex:
@@ -382,6 +408,53 @@ def verify_certificate(
 # -- certificate builders ----------------------------------------------------
 
 
+def _certificate(
+    x: Complex, target: Complex, comps: Dict[int, ModuleMap]
+) -> ThickCertificate:
+    """The cone-tower certificate of a complex of projectives x, compared
+    with target by the chain map x -> target with components `comps`.
+
+    Each contiguous run of x.support is peeled from its top term downward:
+    a leaf sum for the top term, then for each lower term j a leaf sum
+    coned onto the tower by {j + 1: d^j}, one level per term.  Several runs
+    are summed at level = max; a zero x gives the empty certificate.
+    """
+    algebra = x.algebra
+    steps: List[CertStep] = []
+
+    def add(step) -> int:
+        steps.append(step)
+        return len(steps) - 1
+
+    def leaf_sum(verts: Sequence[int], k: int) -> int:
+        idxs = [add(LeafStep(i, k, leaf_object(algebra, i, k), 1)) for i in verts]
+        return add(SumStep(idxs, direct_sum(algebra, [steps[j].obj for j in idxs]), 1))
+
+    runs: List[List[int]] = []
+    for deg in x.support:
+        if runs and runs[-1][-1] == deg - 1:
+            runs[-1].append(deg)
+        else:
+            runs.append([deg])
+    tops: List[int] = []
+    for run in runs:
+        cur = leaf_sum(x.proj_verts[run[-1]], -run[-1])
+        for j in reversed(run[:-1]):
+            u = leaf_sum(x.proj_verts[j], -(j + 1))
+            phi = ChainMap(steps[u].obj, steps[cur].obj, {j + 1: x.diff(j)}, check=False)
+            cur = add(ConeStep(u, cur, phi, cone(phi), steps[cur].level + 1))
+        tops.append(cur)
+    if not tops:
+        return ThickCertificate("A", [], 0, ChainMap(x, target, comps, check=False))
+    if len(tops) > 1:
+        obj = direct_sum(algebra, [steps[j].obj for j in tops])
+        tops = [add(SumStep(tops, obj, max(steps[j].level for j in tops)))]
+    final = steps[tops[0]]
+    return ThickCertificate(
+        "A", steps, final.level, ChainMap(final.obj, target, comps, check=False)
+    )
+
+
 def certificate_from_resolution(
     m: Module, cutoff: int, truncate_at: Optional[int] = None
 ) -> ThickCertificate:
@@ -392,42 +465,17 @@ def certificate_from_resolution(
     certificate (a negative control for the verifier); leave it None for
     real use.
     """
-    algebra = m.algebra
     target = stalk_complex(m, 0)
     if m.is_zero():
-        compare = ChainMap.zero(Complex(algebra, {}, {}, proj_verts={}, check=False), target)
-        return ThickCertificate("A", [], 0, compare)
+        return _certificate(resolution_complex(m.algebra, []), target, {})
     res = minimal_resolution(m, cutoff)
     if not res.status.is_finite:
         raise ResolutionCutoffError("pd not finite within cutoff")
-    n = res.status.value
-    stop = n if truncate_at is None else min(truncate_at, n)
-    steps: List[CertStep] = []
-
-    def add(step) -> int:
-        steps.append(step)
-        return len(steps) - 1
-
-    def leaf_sum(verts: Sequence[int], k: int) -> int:
-        idxs = []
-        for i in verts:
-            idxs.append(add(LeafStep(i, k, leaf_object(algebra, i, k), 1)))
-        obj = direct_sum(algebra, [steps[j].obj for j in idxs])
-        return add(SumStep(idxs, obj, 1))
-
-    cur = leaf_sum(res.term_verts[0], 0)
-    for k in range(1, stop + 1):
-        u = leaf_sum(res.term_verts[k], k - 1)
-        phi = ChainMap(
-            steps[u].obj,
-            steps[cur].obj,
-            {-(k - 1): res.differentials[k - 1]},
-            check=False,
-        )
-        obj = cone(phi)
-        cur = add(ConeStep(u, cur, phi, obj, steps[cur].level + 1))
-    compare = ChainMap(steps[cur].obj, target, {0: res.augmentation}, check=False)
-    return ThickCertificate("A", steps, steps[cur].level, compare)
+    d = [res.augmentation] + res.differentials
+    x = resolution_complex(m.algebra, zip(res.terms, res.term_verts, d))
+    if truncate_at is not None:
+        x = stupid_truncate(x, "ge", -max(truncate_at, 0))
+    return _certificate(x, target, {0: res.augmentation})
 
 
 # -- minimal models of perfect complexes -------------------------------------
@@ -465,7 +513,7 @@ def minimize_perfect(x: Complex) -> Tuple[Complex, ChainMap]:
     coefficient is nonzero is an isomorphism on that pair; eliminating it is
     exact Gaussian elimination at the level of the algebra.
     """
-    from .modules import _trivial_path_pos, generator_positions
+    from .modules import generator_positions
 
     if x.proj_verts is None:
         x, pre = standardize_perfect(x)
@@ -586,101 +634,48 @@ def certificate_for_hom_p(y: Complex, d: int, cutoff: int) -> ThickCertificate:
     """Generation-level certificate for any perfect complex whose cohomology
     modules have finite projective dimension (each checked within the cutoff).
 
-    The complex is replaced by its minimal model; the model's terms are
-    peeled off bottom-up by cones on its own differentials, one level per
-    nonzero term, with disconnected segments summed at level = max.  For
-    cohomology spread over p degrees with projective dimensions <= d the
-    resulting level is at most p + d.
+    The complex is replaced by its minimal model, whose terms are peeled
+    off by the cone tower of `_certificate`: one level per term of the
+    longest contiguous run.  For cohomology spread over p degrees with
+    projective dimensions <= d the resulting level is at most p + d.  The
+    bound d is not read; it is the d of that statement.
     """
-    algebra = y.algebra
-    if is_acyclic(y):
-        compare = ChainMap.zero(Complex(algebra, {}, {}, proj_verts={}, check=False), y)
-        return ThickCertificate("A", [], 0, compare)
-    for n in sorted(cohomology_dims(y)):
+    hdims = cohomology_dims(y)
+    for n in sorted(hdims):
         status = proj_dim(cohomology(y, n), cutoff)
         if not status.is_finite:
             raise ResolutionCutoffError(
                 f"cohomology in degree {n} has undecided projective dimension "
                 f"within cutoff {cutoff}"
             )
+    if not hdims:  # acyclic: the minimal model is zero
+        return _certificate(Complex(y.algebra, {}, {}, proj_verts={}, check=False), y, {})
     zmin, qiso = minimize_perfect(y)
-    steps: List[CertStep] = []
-
-    def add(step) -> int:
-        steps.append(step)
-        return len(steps) - 1
-
-    def leaf_sum(verts: Sequence[int], k: int) -> Tuple[int, Complex]:
-        idxs = [add(LeafStep(i, k, leaf_object(algebra, i, k), 1)) for i in verts]
-        obj = direct_sum(algebra, [steps[j].obj for j in idxs])
-        return add(SumStep(idxs, obj, 1)), obj
-
-    # peel each contiguous run of nonzero terms from the top term downward
-    support = zmin.support
-    runs: List[List[int]] = []
-    for deg in support:
-        if runs and runs[-1][-1] == deg - 1:
-            runs[-1].append(deg)
-        else:
-            runs.append([deg])
-    run_tops: List[int] = []
-    for run in runs:
-        top = run[-1]
-        cur, _ = leaf_sum(zmin.proj_verts[top], -top)
-        for j in reversed(run[:-1]):
-            u, uobj = leaf_sum(zmin.proj_verts[j], -(j + 1))
-            phi = ChainMap(uobj, steps[cur].obj, {j + 1: zmin.diff(j)}, check=False)
-            cur = add(ConeStep(u, cur, phi, cone(phi), steps[cur].level + 1))
-        run_tops.append(cur)
-    if len(run_tops) == 1:
-        final = run_tops[0]
-    else:
-        obj = direct_sum(algebra, [steps[j].obj for j in run_tops])
-        final = add(
-            SumStep(run_tops, obj, max(steps[j].level for j in run_tops))
-        )
-    compare = ChainMap(steps[final].obj, y, qiso.comps, check=False)
-    return ThickCertificate("A", steps, steps[final].level, compare)
+    return _certificate(zmin, y, qiso.comps)
 
 
 # -- ghost maps --------------------------------------------------------------
-
-
-def _resolution_complex(m: Module, terms_needed: int, cutoff: int) -> Complex:
-    """The minimal resolution as a perfect complex in degrees -K..0,
-    truncated to `terms_needed` terms when it does not stop.
-
-    Never stops early on periodicity, so the window maps below always see
-    genuine resolution differentials.
-    """
-    terms = {}
-    diffs = {}
-    pv = {}
-    for k, (proj, verts, d, _) in zip(range(terms_needed + 1), resolution_steps(m)):
-        terms[-k] = proj
-        pv[-k] = tuple(verts)
-        if k > 0:
-            diffs[-k] = d
-    return Complex(m.algebra, terms, diffs, proj_verts=pv, check=False)
 
 
 def _window(x: Complex, lo: int, hi: int) -> Complex:
     return stupid_truncate(stupid_truncate(x, "ge", lo), "le", hi)
 
 
-def ghost_maps(
-    m: Module, n: int, cutoff: int
-) -> Tuple[List[ChainMap], ChainMap]:
+def ghost_maps(m: Module, n: int) -> Tuple[List[ChainMap], ChainMap]:
     """The chain of n ghost maps between windows of the resolution of m,
     and their composite.
 
-    phi_i maps the window [-n-i, -i+1] to the window [-n-i-1, -i] by the
-    identity in every shared degree.  Each phi_i induces zero on cohomology
-    (asserted), so the composite is a composite of n ghosts.
+    The first 2n+2 terms of the minimal resolution are taken as they come,
+    never stopping early on periodicity, so the windows always see genuine
+    resolution differentials.  phi_i maps the window [-n-i, -i+1] to the
+    window [-n-i-1, -i] by the identity in every shared degree.  Each phi_i
+    induces zero on cohomology (asserted), so the composite is a composite
+    of n ghosts.
     """
     if n < 1:
         raise ValueError("need at least one ghost map")
-    q = _resolution_complex(m, 2 * n + 1, cutoff)
+    steps = itertools.islice(resolution_steps(m), 2 * n + 2)
+    q = resolution_complex(m.algebra, ((proj, verts, d) for proj, verts, d, _ in steps))
     maps: List[ChainMap] = []
     for i in range(1, n + 1):
         src = _window(q, -n - i, -i + 1)
@@ -709,10 +704,11 @@ def ghost_pd_oracle(m: Module, n: int, cutoff: int) -> bool:
     [-n-2, 0] is null-homotopic exactly when the projective dimension is
     at most n: for minimal resolutions a homotopy at the deepest shared
     degree would force an identity to factor through radical-valued maps.
+    The cutoff is not read: the oracle resolves at most 2n+4 terms.
     """
     if n < 1:
         raise ValueError("oracle needs n >= 1")
     if m.is_zero():
         return True
-    _, composite = ghost_maps(m, n + 1, cutoff)
+    _, composite = ghost_maps(m, n + 1)
     return null_homotopy(composite) is not None

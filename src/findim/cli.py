@@ -13,25 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import __version__
-from .complexes import NotPerfectError, cohomology, cohomology_dims, is_acyclic, stalk_complex
+from .complexes import NotPerfectError
 from .modules import minimal_resolution, proj_dim
-from .invariants import (
-    ResolutionCutoffError,
-    amplitude,
-    invariants_report,
-    random_perfect_complex,
-)
+from .invariants import ResolutionCutoffError, amplitude, invariants_report
 from .certificates import (
     BudgetExceededError,
     certificate_for_hom_p,
     findim_estimate,
     finitistic_generator,
-    ghost_maps,
     ghost_pd_oracle,
+    theorem_samples,
     verify_certificate,
 )
 from .serialize import (
@@ -40,8 +34,6 @@ from .serialize import (
     certificate_from_json,
     complex_from_json,
     dumps,
-    field_from_json,
-    field_to_json,
     module_from_json,
 )
 
@@ -129,25 +121,8 @@ def cmd_findim(args) -> int:
         f"amplitude of A + shift(A, {d}): {amp}",
     ]
     if args.verify_theorem:
-        rng = random.Random(args.seed)
-        samples = failures = 0
-        max_level = 0
-        attempts = 0
-        while samples < args.samples and attempts < args.samples * 40:
-            attempts += 1
-            y = random_perfect_complex(algebra, rng)
-            hdims = cohomology_dims(y)
-            if hdims:
-                degs = sorted(hdims)
-                width = degs[-1] - degs[0] + 1
-                if width > 3:
-                    continue
-                if any(
-                    not proj_dim(cohomology(y, n), args.cutoff).le(d) for n in degs
-                ):
-                    continue
-            else:
-                width = 0
+        samples = failures = max_level = 0
+        for y, width in theorem_samples(algebra, d, args.samples, args.cutoff, args.seed):
             samples += 1
             cert = certificate_for_hom_p(y, d, args.cutoff)
             ok = verify_certificate(cert, y, algebra).ok

@@ -110,10 +110,6 @@ class Complex:
     def max_deg(self) -> Optional[int]:
         return max(self.terms) if self.terms else None
 
-    @property
-    def is_perfect(self) -> bool:
-        return self.proj_verts is not None
-
     def __eq__(self, other):
         if not isinstance(other, Complex) or self.algebra is not other.algebra:
             return False
@@ -271,11 +267,6 @@ def shift(x: Complex, k: int) -> Complex:
         diffs[n - k] = d if sign == 1 else d.scale(-1)
     pv = {n - k: v for n, v in x.proj_verts.items()} if x.proj_verts is not None else None
     return Complex(x.algebra, terms, diffs, proj_verts=pv, check=False)
-
-
-def shift_chain_map(f: ChainMap, k: int) -> ChainMap:
-    comps = {n - k: g for n, g in f.comps.items()}
-    return ChainMap(shift(f.source, k), shift(f.target, k), comps, check=False)
 
 
 def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
@@ -622,11 +613,6 @@ class HomComplex:
             if d:
                 out[n] = d
         return out
-
-
-def hom_complex(x: Complex, y: Complex) -> HomComplex:
-    """Hom complex; requires (or recognizes) projective terms in x."""
-    return HomComplex(x, y)
 
 
 def chain_map_basis(x: Complex, y: Complex) -> List[ChainMap]:

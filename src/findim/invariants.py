@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Matrix
 from .modules import (
     Module,
+    ModuleMap,
     minimal_resolution,
     projsum_module,
     quotient_module,
@@ -26,13 +27,12 @@ from .modules import (
 from .complexes import (
     ChainMap,
     Complex,
+    HomComplex,
     chain_map_basis,
     cone,
     direct_sum,
-    hom_complex,
     projsum_complex,
     shift,
-    stalk_complex,
 )
 
 
@@ -62,6 +62,25 @@ class HomSupport:
         return {str(n): d for n, d in sorted(self.dims.items())}
 
 
+def resolution_complex(
+    algebra, steps: Iterable[Tuple[Module, Sequence[int], ModuleMap]]
+) -> Complex:
+    """A projective resolution as a perfect complex in degrees -K..0.
+
+    `steps` gives (P_k, verts_k, d_k) for k = 0, 1, ..., K: the term, the
+    vertices of its summands and the differential d_k : P_k -> P_{k-1}.
+    P_k goes to degree -k with descriptor verts_k; d_0, the augmentation
+    when there is one, is not a differential of the complex and is dropped.
+    """
+    terms, diffs, pv = {}, {}, {}
+    for k, (proj, verts, d) in enumerate(steps):
+        terms[-k] = proj
+        pv[-k] = tuple(verts)
+        if k > 0:
+            diffs[-k] = d
+    return Complex(algebra, terms, diffs, proj_verts=pv, check=False)
+
+
 def resolve_to_perfect(m: Module, cutoff: int) -> Complex:
     """The minimal resolution of m as a perfect complex in degrees -n..0.
 
@@ -69,14 +88,12 @@ def resolve_to_perfect(m: Module, cutoff: int) -> Complex:
     ("pd at least cutoff") when the resolution does not terminate.
     """
     if m.is_zero():
-        return Complex(m.algebra, {}, {}, proj_verts={}, check=False)
+        return resolution_complex(m.algebra, [])
     res = minimal_resolution(m, cutoff)
     if not res.status.is_finite:
         raise ResolutionCutoffError("pd at least cutoff")
-    terms = {-k: res.terms[k] for k in range(len(res.terms))}
-    diffs = {-k: res.differentials[k - 1] for k in range(1, len(res.terms))}
-    pv = {-k: tuple(res.term_verts[k]) for k in range(len(res.terms))}
-    return Complex(m.algebra, terms, diffs, proj_verts=pv, check=False)
+    d = [res.augmentation] + res.differentials
+    return resolution_complex(m.algebra, zip(res.terms, res.term_verts, d))
 
 
 def algebra_complex(algebra, degree: int = 0) -> Complex:
@@ -86,7 +103,7 @@ def algebra_complex(algebra, degree: int = 0) -> Complex:
 
 def hom_support(x: Complex, y: Complex) -> HomSupport:
     """Degrees n with Hom(x, shift(y, n)) nonzero, with dimensions."""
-    return HomSupport(hom_complex(x, y).cohomology_dims())
+    return HomSupport(HomComplex(x, y).cohomology_dims())
 
 
 def _diameter(s: HomSupport) -> int:

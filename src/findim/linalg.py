@@ -150,12 +150,6 @@ class Matrix:
             m.data[i][i] = one
         return m
 
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        return cls(field, nr, nc, rows)
-
     def copy(self) -> "Matrix":
         return Matrix._of(self.field, self.rows, self.cols, [row[:] for row in self.data])
 

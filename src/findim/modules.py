@@ -187,9 +187,6 @@ class ModuleMap:
     def is_surjective(self) -> bool:
         return all(rank(m) == m.rows for m in self.mats)
 
-    def is_injective(self) -> bool:
-        return all(rank(m) == m.cols for m in self.mats)
-
     def is_isomorphism(self) -> bool:
         return all(m.rows == m.cols and rank(m) == m.rows for m in self.mats)
 

@@ -26,7 +26,6 @@ always produces byte-identical files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Dict, List
 
 from .linalg import GF, QQ, Field, Matrix

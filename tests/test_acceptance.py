@@ -31,30 +31,11 @@ from findim import (
     stalk_complex,
     verify_certificate,
 )
-from findim.complexes import cohomology, cohomology_dims, induced_cohomology_zero
+from findim.certificates import theorem_samples
+from findim.complexes import induced_cohomology_zero
 from findim.invariants import algebra_complex
 from findim.cli import main
 from util import a2, dual_numbers, k_algebra, nakayama3
-
-
-def _filtered_samples(algebra, d, count, cutoff=8, seed=0, max_width=3):
-    """Seeded perfect complexes with cohomology width <= max_width and every
-    cohomology module of projective dimension <= d."""
-    rng = random.Random(seed)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < count * 60:
-        attempts += 1
-        y = random_perfect_complex(algebra, rng)
-        dims = cohomology_dims(y)
-        if dims:
-            degs = sorted(dims)
-            if degs[-1] - degs[0] + 1 > max_width:
-                continue
-            if any(not proj_dim(cohomology(y, n), cutoff).le(d) for n in degs):
-                continue
-        out.append(y)
-    return out
 
 
 def test_criterion_1_main_theorem_suite():
@@ -68,11 +49,9 @@ def test_criterion_1_main_theorem_suite():
         assert amplitude(finitistic_generator(algebra, d)) == d, (
             f"criterion 1: generator amplitude mismatch on {name}"
         )
-        samples = _filtered_samples(algebra, d, 50, seed=17)
+        samples = list(theorem_samples(algebra, d, 50, 8, 17))
         assert len(samples) == 50, f"criterion 1: sampler starved on {name}"
-        for y in samples:
-            dims = cohomology_dims(y)
-            width = (max(dims) - min(dims) + 1) if dims else 0
+        for y, width in samples:
             cert = certificate_for_hom_p(y, d, 8)
             ok = verify_certificate(cert, y, algebra).ok
             if not ok or cert.level > width + d:
@@ -125,7 +104,7 @@ def test_criterion_3_ghost_oracle():
                     disagreements += 1
                 checked += 1
             if not m.is_zero():
-                maps, _ = ghost_maps(m, 2, 10)
+                maps, _ = ghost_maps(m, 2)
                 for f in maps:
                     assert induced_cohomology_zero(f), "criterion 3: non-ghost map"
     assert disagreements == 0, f"criterion 3: {disagreements} oracle disagreements"

@@ -234,7 +234,7 @@ def test_certificate_for_hom_p_levels():
 def test_ghost_maps_kill_cohomology():
     a = a2()
     s0 = a.simple(0)
-    maps, composite = ghost_maps(s0, 2, 8)
+    maps, composite = ghost_maps(s0, 2)
     assert len(maps) == 2
     for f in maps:
         assert f.commutes()

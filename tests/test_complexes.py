@@ -1,6 +1,6 @@
 import pytest
 
-from findim import ChainMap, Complex, cone, direct_sum, hom_complex, null_homotopy, shift, stalk_complex, stupid_truncate
+from findim import ChainMap, Complex, HomComplex, cone, direct_sum, null_homotopy, shift, stalk_complex, stupid_truncate
 from findim.complexes import (
     NotPerfectError,
     chain_map_basis,
@@ -12,7 +12,8 @@ from findim.complexes import (
     projsum_complex,
     standardize_perfect,
 )
-from findim.invariants import resolve_to_perfect
+from findim.invariants import resolution_complex, resolve_to_perfect
+from findim.modules import resolution_steps
 from util import a2, dual_numbers, nakayama3
 
 
@@ -101,9 +102,9 @@ def test_direct_sum_supports_and_descriptors():
 def test_hom_complex_computes_ext():
     a = a2()
     x = res_s0(a)
-    hc = hom_complex(x, stalk_complex(a.simple(1), 0))
+    hc = HomComplex(x, stalk_complex(a.simple(1), 0))
     assert hc.cohomology_dims() == {1: 1}  # Ext^1 only
-    hc2 = hom_complex(x, stalk_complex(a.simple(0), 0))
+    hc2 = HomComplex(x, stalk_complex(a.simple(0), 0))
     assert hc2.cohomology_dims() == {0: 1}  # Hom only
 
 
@@ -111,10 +112,10 @@ def test_hom_complex_ext_dual_numbers():
     a = dual_numbers()
     s = a.simple(0)
     # truncated resolution of the simple: exts in every degree of the window
-    from findim.certificates import _resolution_complex
-
-    q = _resolution_complex(s, 3, 8)
-    hc = hom_complex(stupid_truncate(q, "ge", 0), stalk_complex(s, 0))
+    steps = zip(range(4), resolution_steps(s))
+    q = resolution_complex(a, [(proj, verts, d) for _, (proj, verts, d, _) in steps])
+    assert q.support == [-3, -2, -1, 0]
+    hc = HomComplex(stupid_truncate(q, "ge", 0), stalk_complex(s, 0))
     assert hc.cohomology_dims() == {0: 1}
 
 

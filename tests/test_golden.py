@@ -18,7 +18,7 @@ import tempfile
 
 import pytest
 
-from findim import QQ, certificate_from_resolution, stalk_complex
+from findim import QQ, certificate_for_hom_p, certificate_from_resolution, stalk_complex
 from findim.cli import main
 from findim.invariants import random_perfect_complex
 from findim.serialize import certificate_to_json, complex_to_json, dumps
@@ -72,7 +72,27 @@ CLI_CASES = {
     ],
 }
 
-CERT_CASES = {"cert_a2_s0_gf2": None, "cert_a2_s0_Q": QQ}
+
+def _resolution_cert(field, truncate_at=None):
+    s0 = a2(field).simple(0)
+    return certificate_from_resolution(s0, 5, truncate_at), stalk_complex(s0, 0)
+
+
+def _hom_p_cert(builder, field, seed):
+    y = random_perfect_complex(builder(field), random.Random(seed))
+    return certificate_for_hom_p(y, 0, 8), y
+
+
+# name -> () -> (certificate, target); the hom_p cases end in a SumStep
+# over several runs of the minimal model's support.
+CERT_CASES = {
+    "cert_a2_s0_gf2": lambda: _resolution_cert(None),
+    "cert_a2_s0_Q": lambda: _resolution_cert(QQ),
+    "cert_a2_s0_truncate0": lambda: _resolution_cert(None, truncate_at=0),
+    "cert_hom_p_a2_s5_gf2": lambda: _hom_p_cert(a2, None, 5),
+    "cert_hom_p_a2_s5_Q": lambda: _hom_p_cert(a2, QQ, 5),
+    "cert_hom_p_nakayama3_s0_gf2": lambda: _hom_p_cert(nakayama3, None, 0),
+}
 
 
 def _argv(args):
@@ -98,10 +118,8 @@ def run_cli(name, tmp_dir):
 
 
 def cert_bytes(name):
-    alg = a2(CERT_CASES[name])
-    s0 = alg.simple(0)
-    cert = certificate_from_resolution(s0, 5)
-    return (dumps(certificate_to_json(cert, stalk_complex(s0, 0))) + "\n").encode()
+    cert, target = CERT_CASES[name]()
+    return (dumps(certificate_to_json(cert, target)) + "\n").encode()
 
 
 def _read(name):
