@@ -29,6 +29,16 @@ class NotFiniteDimensionalError(ValueError):
     """Raised when no nilpotency length can be certified within max_len."""
 
 
+class BudgetExceededError(RuntimeError):
+    """A computation would exceed its search-space or size budget."""
+
+
+# Size budget of build_algebra: the paths it enumerates, and the cells of
+# its dense relation matrix (checked row by row, before it is allocated).
+MAX_PATHS = 2**16
+MAX_RELATION_CELLS = 2**22
+
+
 @dataclass(frozen=True)
 class Arrow:
     id: str
@@ -128,6 +138,7 @@ class FDAlgebra:
             self.basis_by_pair.setdefault((p[0], self.path_target(p)), []).append(k)
         self._mult_cache: Dict[Tuple[int, int], Dict[int, object]] = {}
         self._proj_cache: Dict[int, Module] = {}
+        self._zero_module: Optional[Module] = None
         self._opposite: Optional[FDAlgebra] = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -208,6 +219,12 @@ class FDAlgebra:
         self._proj_cache[i] = mod
         return mod
 
+    def zero_module(self) -> Module:
+        """The zero module, one object per algebra: it has no entries to share."""
+        if self._zero_module is None:
+            self._zero_module = Module(self, [0] * self.num_vertices, {}, check=False)
+        return self._zero_module
+
     def simple(self, i: int) -> Module:
         if not (0 <= i < self.num_vertices):
             raise ValueError(f"vertex {i} out of range")
@@ -261,6 +278,7 @@ class FDAlgebra:
 
 def _enumerate_paths(quiver: Quiver, max_len: int) -> List[List[Path]]:
     by_len: List[List[Path]] = [[(v, ()) for v in range(quiver.num_vertices)]]
+    total = quiver.num_vertices
     for _ in range(max_len):
         prev = by_len[-1]
         nxt: List[Path] = []
@@ -269,6 +287,11 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> List[List[Path]]:
             for k, a in enumerate(quiver.arrows):
                 if a.source == end:
                     nxt.append((s, arrows + (k,)))
+            if total + len(nxt) > MAX_PATHS:
+                raise BudgetExceededError(
+                    f"more than the budget of {MAX_PATHS} paths of length <= {max_len}"
+                )
+        total += len(nxt)
         by_len.append(nxt)
     return by_len
 
@@ -282,7 +305,9 @@ def build_algebra(
     """Compute the path-class basis of kQ/I and package it as an FDAlgebra.
 
     Raises NotFiniteDimensionalError when no length L <= max_len has all
-    paths of length L reducing to zero modulo the relation ideal.
+    paths of length L reducing to zero modulo the relation ideal, and
+    BudgetExceededError when a window would enumerate more than MAX_PATHS
+    paths or need a relation matrix of more than MAX_RELATION_CELLS cells.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -318,6 +343,7 @@ def _build_at_length(quiver: Quiver, relations, field: Field, n: int) -> dict:
     path_target = lambda p: quiver.arrows[p[1][-1]].target if p[1] else p[0]
 
     # rows spanning the ideal inside the span of paths of length <= n
+    ncols = len(paths)
     rows: List[Dict[int, object]] = []
     for rel in relations:
         lm = rel.max_length
@@ -333,9 +359,14 @@ def _build_at_length(quiver: Quiver, relations, field: Field, n: int) -> dict:
                     c0 = row.get(col, field.zero())
                     row[col] = field.add(c0, field.coerce(coeff))
                 if any(v != 0 for v in row.values()):
+                    if (len(rows) + 1) * ncols > MAX_RELATION_CELLS:
+                        raise BudgetExceededError(
+                            f"relation matrix of more than {len(rows)} x {ncols} "
+                            f"cells at path length {n} exceeds the budget of "
+                            f"{MAX_RELATION_CELLS} cells"
+                        )
                     rows.append(row)
 
-    ncols = len(paths)
     mat = Matrix.zeros(field, len(rows), ncols)
     for r, row in enumerate(rows):
         for c, v in row.items():

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .algebras import BudgetExceededError
 from .linalg import Matrix, solve_matrix
 from .modules import (
     Module,
@@ -22,6 +23,7 @@ from .modules import (
     minimal_resolution,
     proj_dim,
     projsum_module,
+    projsum_offsets,
     resolution_steps,
 )
 from .complexes import (
@@ -44,10 +46,6 @@ from .complexes import (
 
 
 from .invariants import ResolutionCutoffError, random_perfect_complex, resolution_complex
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured search-space budget."""
 
 
 # -- module enumeration and finitistic dimension -----------------------------
@@ -492,7 +490,7 @@ def _select(mat: Matrix, rows: List[int], cols: List[int]) -> Matrix:
 
 def _block_indices(algebra, verts: Sequence[int]) -> List[List[List[int]]]:
     """Per summand, per vertex: the coordinate indices of its block."""
-    _, offsets = projsum_module(algebra, verts)
+    offsets = projsum_offsets(algebra, verts)
     out = []
     for k, i in enumerate(verts):
         p = algebra.projective(i)

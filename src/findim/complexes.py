@@ -30,9 +30,11 @@ from .modules import (
     Module,
     ModuleMap,
     direct_sum_modules,
+    generator_positions,
     map_from_generator_images,
     projective_cover,
     projsum_module,
+    projsum_offsets,
     yoneda_coordinates,
     yoneda_dim,
 )
@@ -40,10 +42,6 @@ from .modules import (
 
 class NotPerfectError(ValueError):
     """A complex was required to consist of projective terms but does not."""
-
-
-def zero_module(algebra) -> Module:
-    return Module(algebra, [0] * algebra.num_vertices, {}, check=False)
 
 
 class Complex:
@@ -86,7 +84,7 @@ class Complex:
     # -- access ------------------------------------------------------------
 
     def term(self, n: int) -> Module:
-        return self.terms.get(n) or zero_module(self.algebra)
+        return self.terms.get(n) or self.algebra.zero_module()
 
     def diff(self, n: int) -> ModuleMap:
         d = self.diffs.get(n)
@@ -504,8 +502,20 @@ class HomComplex:
     """The Hom complex of a perfect complex x into any complex y.
 
     Degree n is the sum over k of Hom_A(x^k, y^{k+n}), coordinatized by
-    generator images of the projective sums x^k.  H^n has the dimension of
-    the degree-n morphisms x -> shift(y, n) in the homotopy category.
+    generator images of the projective sums x^k: with x^k = sum_g Ae_{i_g},
+    block k holds, summand by summand, the image of the generator e_{i_g}
+    in the fiber of y^{k+n} at i_g.  H^n has the dimension of the degree-n
+    morphisms x -> shift(y, n) in the homotopy category.
+
+    The differential delta(g) = d_y o g - (-1)^n g o d_x sends column block
+    k of degree n to two row blocks of degree n+1:
+
+    * row block k (post-composition): the block diagonal of
+      d_y^{k+n}.mats[i_g], one block per summand g of x^k;
+    * row block k-1 (pre-composition): at summand h of x^{k-1} (vertex j)
+      and summand g of x^k (vertex i), -(-1)^n sum_path c_path
+      y^{k+n}.act_path(path), over the basis paths i -> j, where c_path is
+      the coordinate of path.e_{i_g} in d_x^{k-1}(e_{j_h}).
     """
 
     def __init__(self, x: Complex, y: Complex):
@@ -530,6 +540,8 @@ class HomComplex:
                     blocks.append((k, d))
             self._blocks[n] = blocks
         self._diff_cache: Dict[int, Matrix] = {}
+        # (degree of y, basis index) -> rows of y^degree.act_path(path)
+        self._act_cache: Dict[Tuple[int, int], List[List]] = {}
 
     def dim(self, n: int) -> int:
         return sum(d for _, d in self._blocks.get(n, []))
@@ -560,34 +572,77 @@ class HomComplex:
                 )
         return coords
 
+    def _act(self, deg: int, bidx: int) -> List[List]:
+        key = (deg, bidx)
+        rows = self._act_cache.get(key)
+        if rows is None:
+            rows = self.y.term(deg).act_path(self.algebra.basis_path(bidx)).data
+            self._act_cache[key] = rows
+        return rows
+
     def diff_matrix(self, n: int) -> Matrix:
-        """Matrix of delta(g) = d_y o g - (-1)^n g o d_x from degree n."""
+        """Matrix of delta(g) = d_y o g - (-1)^n g o d_x from degree n.
+
+        Built block by block with the two formulas of the class docstring:
+        the post-composition block of column block k is the block diagonal
+        of d_y^{k+n}.mats[i_g], and its pre-composition block at (h, g) is
+        -(-1)^n sum_path c_path y^{k+n}.act_path(path).
+        """
         if n in self._diff_cache:
             return self._diff_cache[n]
-        rows = self.dim(n + 1)
+        alg = self.algebra
+        p = self.field.p
+        zero = self.field.zero()
+        sign = -1 if n % 2 == 0 else 1  # -(-1)^n
+        row_off: Dict[int, int] = {}
+        rows = 0
+        for k, d in self._blocks.get(n + 1, []):
+            row_off[k] = rows
+            rows += d
         cols = self.dim(n)
-        out = Matrix.zeros(self.field, rows, cols)
-        sign = 1 if n % 2 == 0 else -1
+        data = [[zero] * cols for _ in range(rows)]
         col = 0
         for k, d in self._blocks.get(n, []):
-            for j in range(d):
-                unit = [self.field.zero()] * d
-                unit[j] = self.field.one()
-                # a single-block map g^k : x^k -> y^{k+n}
-                partial = self.decode_block(n, k, unit)
-                image: Dict[int, ModuleMap] = {}
-                up = self.y.diff(k + n).compose(partial)
-                if not up.is_zero():
-                    image[k] = up
-                back = partial.compose(self.x.diff(k - 1))
-                if not back.is_zero():
-                    term = back if sign == -1 else back.scale(-1)
-                    # delta(g)^{k-1} = -(-1)^n g^k o d_x^{k-1}
-                    image[k - 1] = image.get(k - 1, ModuleMap.zero(back.source, back.target)) + term
-                vec = self.encode(n + 1, image)
-                for r in range(rows):
-                    out.data[r][col] = vec[r]
-                col += 1
+            verts = self.x.proj_verts[k]
+            dims = self.y.term(k + n).dims
+            if k in row_off:
+                # post-composition: block diagonal of d_y^{k+n}.mats[i_g]
+                mats = self.y.diff(k + n).mats
+                r0, c0 = row_off[k], col
+                for i in verts:
+                    for r, drow in enumerate(mats[i].data, r0):
+                        out = data[r]
+                        for c, e in enumerate(drow, c0):
+                            if e:
+                                out[c] += e
+                    r0 += len(mats[i].data)
+                    c0 += dims[i]
+            if k - 1 in row_off:
+                # pre-composition: sum_path c_path act_path(path) per (h, g)
+                dx = self.x.diff(k - 1).mats
+                goff = projsum_offsets(alg, verts)
+                r0 = row_off[k - 1]
+                for j, gen in generator_positions(alg, self.x.proj_verts[k - 1]):
+                    dcol = [row[gen] for row in dx[j].data]
+                    c0 = col
+                    for g, i in enumerate(verts):
+                        base = goff[g][j]
+                        for pos, bidx in enumerate(alg.basis_by_pair.get((i, j), ())):
+                            coeff = dcol[base + pos]
+                            if not coeff:
+                                continue
+                            coeff *= sign
+                            for r, arow in enumerate(self._act(k + n, bidx), r0):
+                                out = data[r]
+                                for c, e in enumerate(arow, c0):
+                                    if e:
+                                        out[c] += coeff * e
+                        c0 += dims[i]
+                    r0 += dims[j]
+            col += d
+        if p is not None:
+            data = [[e % p for e in row] for row in data]
+        out = Matrix._of(self.field, rows, cols, data)
         self._diff_cache[n] = out
         return out
 

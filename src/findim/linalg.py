@@ -237,14 +237,15 @@ class Matrix:
         """Multiply onto a column vector given as a flat list."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        f = self.field
+        p = self.field.p
+        z = self.field.zero()
         out = []
         for row in self.data:
-            s = f.zero()
+            s = z
             for a, x in zip(row, vec):
-                if a != 0 and x != 0:
-                    s = f.add(s, f.mul(a, x))
-            out.append(s)
+                if a and x:
+                    s += a * x
+            out.append(s if p is None else s % p)
         return out
 
     def col(self, j: int) -> List:

@@ -311,9 +311,25 @@ def map_from_generator_images(
     return ModuleMap(src, target, mats, check=False)
 
 
+def projsum_offsets(algebra, verts: Sequence[int]) -> List[List[int]]:
+    """Per summand, per vertex: where its fiber starts in the projective sum.
+
+    The fiber of Ae_i at v has one basis vector per path class i -> v, so
+    the offsets come from the basis of the algebra, without building the sum.
+    """
+    nv = algebra.num_vertices
+    acc = [0] * nv
+    out = []
+    for i in verts:
+        out.append(acc[:])
+        for v in range(nv):
+            acc[v] += len(algebra.basis_by_pair.get((i, v), ()))
+    return out
+
+
 def generator_positions(algebra, verts: Sequence[int]) -> List[Tuple[int, int]]:
     """For each summand: (vertex, column index of its generator in that fiber)."""
-    _, offsets = projsum_module(algebra, verts)
+    offsets = projsum_offsets(algebra, verts)
     return [
         (i, offsets[k][i] + _trivial_path_pos(algebra, i))
         for k, i in enumerate(verts)

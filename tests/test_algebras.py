@@ -1,6 +1,8 @@
 import pytest
 
-from findim import GF, QQ, NotFiniteDimensionalError, Quiver, Relation, build_algebra
+import findim
+from findim import GF, QQ, NotFiniteDimensionalError, Quiver, Relation, algebras, build_algebra
+from findim.algebras import BudgetExceededError
 from util import a2, dual_numbers, k_algebra, nakayama3
 
 
@@ -33,6 +35,33 @@ def test_loop_without_relation_is_infinite_dimensional():
     q = Quiver(1, [("x", 0, 0)])
     with pytest.raises(NotFiniteDimensionalError):
         build_algebra(q, [], GF(2), 5)
+
+
+def test_path_enumeration_budget():
+    """A free quiver on two loops has 2^19 - 1 paths of length <= 18."""
+    q = Quiver(1, [("x", 0, 0), ("y", 0, 0)])
+    with pytest.raises(BudgetExceededError, match="paths"):
+        build_algebra(q, [], GF(2), 18)
+    with pytest.raises(BudgetExceededError, match="relation matrix"):
+        build_algebra(q, [Relation(q, [(1, ["x", "x"])])], GF(2), 11)
+    # below both budgets the same presentation fails as infinite-dimensional
+    with pytest.raises(NotFiniteDimensionalError):
+        build_algebra(q, [Relation(q, [(1, ["x", "x"])])], GF(2), 7)
+    assert findim.BudgetExceededError is algebras.BudgetExceededError
+
+
+def test_commutative_truncated_polynomials_within_budget():
+    """k[x,y]/(x^3, y^3) has nilpotency 5, so it is built in the wider window
+    of path length 8: 511 paths and a relation matrix of about 0.7M cells."""
+    q = Quiver(1, [("x", 0, 0), ("y", 0, 0)])
+    rels = [
+        Relation(q, [(1, ["x", "x", "x"])]),
+        Relation(q, [(1, ["y", "y", "y"])]),
+        Relation(q, [(1, ["x", "y"]), (-1, ["y", "x"])]),
+    ]
+    a = build_algebra(q, rels, GF(2), 5)
+    assert a.dim == 9
+    assert a.nilpotency == 5
 
 
 def test_relation_admissibility():

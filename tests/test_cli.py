@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -84,6 +85,28 @@ def test_findim_report_and_exit(tmp_path, capsys):
 
 def test_findim_budget_exit_3(capsys):
     assert main(["findim", data("nakayama3.json"), "--max-dim", "3", "--budget", "4"]) == 3
+
+
+def test_algebra_build_budget_exit_3(tmp_path, capsys):
+    """Two loops with only xx = 0: the relation matrix at max_len 11 would
+    hold 9217 x 4095 cells, so the build stops at its 1025th row, before
+    allocating it."""
+    doc = {
+        "field": {"gfp": 2},
+        "vertices": 1,
+        "arrows": [{"id": "x", "from": 0, "to": 0}, {"id": "y", "from": 0, "to": 0}],
+        "relations": [[{"coeff": 1, "path": ["x", "x"]}]],
+        "max_len": 11,
+    }
+    alg = tmp_path / "two_loops.json"
+    alg.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["findim", str(alg)]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:")
+    assert "more than 1024 x 4095 cells at path length 11" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_findim_verify_theorem(tmp_path, capsys):

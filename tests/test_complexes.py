@@ -1,6 +1,23 @@
+import itertools
+import random
+
 import pytest
 
-from findim import ChainMap, Complex, HomComplex, cone, direct_sum, null_homotopy, shift, stalk_complex, stupid_truncate
+from findim import (
+    GF,
+    QQ,
+    ChainMap,
+    Complex,
+    HomComplex,
+    cone,
+    direct_sum,
+    enumerate_modules,
+    hom_support,
+    null_homotopy,
+    shift,
+    stalk_complex,
+    stupid_truncate,
+)
 from findim.complexes import (
     NotPerfectError,
     chain_map_basis,
@@ -12,7 +29,15 @@ from findim.complexes import (
     projsum_complex,
     standardize_perfect,
 )
-from findim.invariants import resolution_complex, resolve_to_perfect
+from findim.invariants import (
+    ResolutionCutoffError,
+    algebra_complex,
+    random_chain_map,
+    random_module,
+    random_perfect_complex,
+    resolution_complex,
+    resolve_to_perfect,
+)
 from findim.modules import resolution_steps
 from util import a2, dual_numbers, nakayama3
 
@@ -167,3 +192,115 @@ def test_induced_cohomology_zero():
     x = res_s0(a)
     assert induced_cohomology_zero(ChainMap.zero(x, x))
     assert not induced_cohomology_zero(ChainMap.identity(x))
+
+
+def test_missing_degrees_share_one_zero_module():
+    a = a2()
+    x = res_s0(a)
+    assert x.term(5) is x.term(-7) is a.zero_module()
+    assert x.term(5).is_zero() and x.diff(5).is_zero()
+    assert dual_numbers().zero_module() is not a.zero_module()
+
+
+# -- the Hom-complex differential against independent computations ----------
+
+
+def _diff_by_unit_columns(hc, n):
+    """The differential one unit column at a time: decode the column into
+    maps, form d_y o g - (-1)^n g o d_x, encode the result."""
+    fld = hc.field
+    cols = hc.dim(n)
+    sign = -1 if n % 2 == 0 else 1  # -(-1)^n
+    columns = []
+    for c in range(cols):
+        unit = [fld.one() if r == c else fld.zero() for r in range(cols)]
+        image = {}
+        for k, g in hc.decode(n, unit).items():
+            parts = [
+                (k, hc.y.diff(k + n).compose(g)),
+                (k - 1, g.compose(hc.x.diff(k - 1)).scale(sign)),
+            ]
+            for deg, f in parts:
+                image[deg] = image[deg] + f if deg in image else f
+        columns.append(hc.encode(n + 1, image))
+    return [list(row) for row in zip(*columns)] if cols else [[] for _ in range(hc.dim(n + 1))]
+
+
+def _window(m, length):
+    """The first `length` terms of the minimal resolution of m."""
+    steps = itertools.islice(resolution_steps(m), length)
+    return resolution_complex(m.algebra, [(p, v, d) for p, v, d, _ in steps])
+
+
+def _sample_pairs(alg, seed):
+    rng = random.Random(seed)
+    nv = alg.num_vertices
+    # w has nonzero differentials between terms of several summands
+    w = direct_sum(
+        alg, [_window(alg.simple(seed % nv), 3), shift(_window(random_module(alg, rng), 2), 1)]
+    )
+    single = projsum_complex(alg, (0, nv - 1, 0), degree=1)
+    stalks = [stalk_complex(alg.simple(i), 0) for i in range(nv)]
+    stalks += [algebra_complex(alg), stalk_complex(random_module(alg, rng), 1)]
+    gap = direct_sum(alg, [stalk_complex(alg.simple(0), 0), algebra_complex(alg, 2)])
+    ys = stalks + [gap, w, shift(w, 1), direct_sum(alg, [w, shift(w, -2)])]
+    ys.append(cone(random_chain_map(shift(w, -1), w, rng)))
+    for x in (random_perfect_complex(alg, rng), w, single):
+        for y in ys + [x]:
+            yield x, y
+    # non-radical differentials: the contractible cone on id_w
+    for y in stalks + [gap, w]:
+        yield cone(ChainMap.identity(w)), y
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_diff_matrix_matches_unit_column_reference(build, field):
+    alg = build(field)
+    for seed in range(2):
+        for x, y in _sample_pairs(alg, seed):
+            hc = HomComplex(x, y)
+            if not hc.degrees:
+                continue
+            for n in range(min(hc.degrees) - 1, max(hc.degrees) + 1):
+                got = hc.diff_matrix(n)
+                ref = _diff_by_unit_columns(hc, n)
+                assert (got.rows, got.cols) == (hc.dim(n + 1), hc.dim(n))
+                assert got.data == ref
+                assert [[type(e) for e in row] for row in got.data] == [
+                    [type(e) for e in row] for row in ref
+                ]
+
+
+def _minimal_resolution_complex(m):
+    """resolve_to_perfect(m) where pd m < 4, else its first four terms."""
+    try:
+        return resolve_to_perfect(m, 4)
+    except ResolutionCutoffError:
+        return _window(m, 4)
+
+
+def _check_tops(m):
+    """Minimal differentials land in the radical, so they vanish on
+    Hom(-, S_j): Hom(x, S_j[n]) counts the summands P_j of x^{-n}."""
+    x = _minimal_resolution_complex(m)
+    alg = m.algebra
+    for j in range(alg.num_vertices):
+        s = hom_support(x, stalk_complex(alg.simple(j), 0))
+        for n in range(-1, len(x.terms) + 1):
+            assert s.dims.get(n, 0) == x.proj_verts.get(-n, ()).count(j)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_hom_into_simples_counts_resolution_summands(build, field):
+    for m in enumerate_modules(build(field), 3):
+        _check_tops(m)
+
+
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_hom_into_simples_counts_resolution_summands_over_q(build):
+    alg = build(QQ)
+    rng = random.Random(11)
+    for _ in range(15):
+        _check_tops(random_module(alg, rng))

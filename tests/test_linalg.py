@@ -380,6 +380,12 @@ def test_arithmetic_and_stacking_match_reference(field):
             assert res.field == f and res.data == ref
             _check_result(res, inputs)
 
+        vec = s.matrix(1, m.cols)
+        ref = _ref_matmul(f, rows, [[x] for x in _ref_rows(f, vec.data)[0]], m.cols, 1)
+        res = m.apply(vec.data[0])
+        assert res == [row[0] for row in ref]
+        _check_result(res, [m, vec])
+
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
 def test_public_constructor_coerces_and_copies(field):
