@@ -103,6 +103,8 @@ def cmd_pd(args) -> int:
 
 
 def cmd_findim(args) -> int:
+    if args.verify_theorem and args.samples < 1:
+        raise ParseError(f"--samples must be >= 1 with --verify-theorem, got {args.samples}")
     algebra = _load_algebra(args.algebra, _parse_field_flag(args.field))
     if algebra.field.is_rational:
         raise ParseError("findim enumerates modules and needs a finite field (use --field gfp:p)")

@@ -154,12 +154,28 @@ class ChainMap:
         return f
 
     def commutes(self) -> bool:
-        degs = set(self.source.terms) | set(self.target.terms)
-        for n in degs:
-            lhs = self.target.diff(n).compose(self.comp(n))
-            rhs = self.comp(n + 1).compose(self.source.diff(n))
-            if not (lhs - rhs).is_zero():
-                return False
+        """Whether d_Y o f^n = f^{n+1} o d_X in every degree.
+
+        Both sides are compared vertex by vertex as matrices.  A side with
+        a zero factor is the zero matrix; a factor whose matrix is the
+        identity, recognised by its entries, leaves the other factor as
+        the product, so d o id and id o d cost no multiplication.
+        """
+        src, tgt = self.source, self.target
+        for n in set(self.comps) | {n - 1 for n in self.comps}:
+            f, g = self.comps.get(n), self.comps.get(n + 1)
+            dy, dx = tgt.diffs.get(n), src.diffs.get(n)
+            for v in range(src.algebra.num_vertices):
+                lhs = None if f is None or dy is None else _product(dy.mats[v], f.mats[v])
+                rhs = None if g is None or dx is None else _product(g.mats[v], dx.mats[v])
+                if lhs is None:
+                    if rhs is not None and not rhs.is_zero():
+                        return False
+                elif rhs is None:
+                    if not lhs.is_zero():
+                        return False
+                elif lhs != rhs:
+                    return False
         return True
 
     @classmethod
@@ -171,11 +187,11 @@ class ChainMap:
         return cls(x, x, {n: ModuleMap.identity(x.terms[n]) for n in x.terms}, check=False)
 
     def compose(self, first: "ChainMap") -> "ChainMap":
-        degs = set(first.source.terms)
+        """self after first, over the degrees where both have a component."""
         return ChainMap(
             first.source,
             self.target,
-            {n: self.comp(n).compose(first.comp(n)) for n in degs},
+            {n: self.comps[n].compose(f) for n, f in first.comps.items() if n in self.comps},
             check=False,
         )
 
@@ -400,21 +416,62 @@ def is_acyclic(x: Complex) -> bool:
     return not cohomology_dims(x)
 
 
-def induced_cohomology_zero(f: ChainMap) -> bool:
-    """Whether a chain map induces zero on all cohomology (a ghost map)."""
-    from .linalg import in_span
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b, without multiplying when a factor is an identity matrix."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch for product: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    if a.is_identity():
+        return b
+    if b.is_identity():
+        return a
+    return a @ b
 
+
+def _basis_of(d: ModuleMap, v: int, fn) -> Matrix:
+    """fn(d.mats[v]), remembered on d while that matrix keeps its entries.
+
+    The windows of one resolution share their differential objects, so a
+    basis is computed once per resolution; the entries are compared with
+    a copy on every lookup, so an in-place edit is never answered from
+    the cache.
+    """
+    cache = getattr(d, "_bases", None)
+    if cache is None:
+        cache = d._bases = {}
+    mat = d.mats[v]
+    hit = cache.get((fn, v))
+    if hit is not None and hit[0] == mat:
+        return hit[1]
+    basis = fn(mat)
+    cache[(fn, v)] = (mat.copy(), basis)
+    return basis
+
+
+def induced_cohomology_zero(f: ChainMap) -> bool:
+    """Whether a chain map induces zero on all cohomology (a ghost map).
+
+    In each degree n and at each vertex, the image under f^n of the cycles
+    Z = ker d_X^n must lie in the boundaries B = im d_Y^{n-1}, that is
+    rank [B | f^n Z] = rank B.  A zero component passes at once, and an
+    identity component, recognised by its entries, maps Z to itself.
+    """
     x, y = f.source, f.target
-    for n in sorted(set(x.terms)):
+    for n in sorted(f.comps):
+        fn = f.comps[n]
+        dx, dy = x.diffs.get(n), y.diffs.get(n - 1)
         for v in range(x.algebra.num_vertices):
-            z = kernel_basis(x.diff(n).mats[v])
-            if z.cols == 0:
+            fv = fn.mats[v]
+            # with no differential out of degree n, every vector is a cycle
+            image = fv if dx is None else _product(fv, _basis_of(dx, v, kernel_basis))
+            if image.cols == 0:
                 continue
-            bound = column_space_basis(y.diff(n - 1).mats[v])
-            fv = f.comp(n).mats[v]
-            for c in range(z.cols):
-                if not in_span(bound, fv.apply(z.col(c))):
+            if dy is None:
+                if not image.is_zero():
                     return False
+                continue
+            bound = _basis_of(dy, v, column_space_basis)
+            if rank(Matrix.hstack(fv.field, [bound, image], rows=bound.rows)) != bound.cols:
+                return False
     return True
 
 

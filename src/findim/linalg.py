@@ -233,6 +233,15 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
+    def is_identity(self) -> bool:
+        """Whether this is an identity matrix, read from the entries."""
+        if self.rows != self.cols:
+            return False
+        for i, row in enumerate(self.data):
+            if row[i] != 1 or any(row[:i]) or any(row[i + 1 :]):
+                return False
+        return True
+
     def apply(self, vec: Sequence) -> List:
         """Multiply onto a column vector given as a flat list."""
         if len(vec) != self.cols:

@@ -29,7 +29,12 @@ from .linalg import (
 
 
 class Module:
-    """Representation of a quiver algebra: dims per vertex, matrix per arrow."""
+    """Representation of a quiver algebra: dims per vertex, matrix per arrow.
+
+    A module is not mutated after construction: `resolution_steps` keeps
+    the resolution of a module on the object, which an edit to `dims` or
+    `arrow_mats` would leave stale.
+    """
 
     def __init__(self, algebra, dims: Sequence[int], arrow_mats: Dict[str, Matrix], check: bool = True):
         self.algebra = algebra
@@ -594,6 +599,36 @@ class ResolutionReport:
     status: PdResult
 
 
+class _Resolution:
+    """The minimal resolution of one module, computed only as deep as asked.
+
+    `steps` holds the steps computed so far; `_next` is the state of the
+    cover loop, (Omega^k, its inclusion into P_{k-1}), or None once a
+    syzygy is zero.  A step is appended only when it is complete, so an
+    exception inside the loop leaves the resolution as it was.
+    """
+
+    __slots__ = ("steps", "_next")
+
+    def __init__(self, m: Module):
+        self.steps: List[Tuple[Module, List[int], ModuleMap, Module]] = []
+        self._next: Optional[Tuple[Module, Optional[ModuleMap]]] = (m, None)
+
+    def step(self, k: int):
+        """Step k, extending the loop as needed; None past the last step."""
+        while len(self.steps) <= k and self._next is not None:
+            current, prev_incl = self._next
+            if current.is_zero():
+                self._next = None
+                break
+            proj, cover, verts = projective_cover(current)
+            ker, incl = kernel_of(cover)
+            d = cover if prev_incl is None else prev_incl.compose(cover)
+            self.steps.append((proj, verts, d, ker))
+            self._next = (ker, incl)
+        return self.steps[k] if k < len(self.steps) else None
+
+
 def resolution_steps(m: Module) -> Iterator[Tuple[Module, List[int], ModuleMap, Module]]:
     """The minimal projective resolution of m, one term at a time.
 
@@ -601,13 +636,26 @@ def resolution_steps(m: Module) -> Iterator[Tuple[Module, List[int], ModuleMap, 
     P_k of Omega^k with its summand vertices, the differential
     d_k : P_k -> P_{k-1} (the augmentation P_0 -> m when k = 0), and the
     next syzygy.  Stops after the first zero syzygy, and at once for m = 0.
+
+    Every call on the same module object reads one resolution, stored on
+    that object and extended only when an iterator asks for a step past
+    its end: a consumer that stops early leaves the rest uncomputed, a
+    deeper consumer later extends it, and interleaved iterators see the
+    same steps.  The memo is keyed by the object, not by its content, and
+    relies on modules not being mutated after construction; the yielded
+    modules and maps are shared by all callers and must not be mutated
+    either.
     """
-    current, prev_incl = m, None
-    while not current.is_zero():
-        proj, cover, verts = projective_cover(current)
-        ker, incl = kernel_of(cover)
-        yield proj, verts, cover if prev_incl is None else prev_incl.compose(cover), ker
-        current, prev_incl = ker, incl
+    res = getattr(m, "_resolution", None)
+    if res is None:
+        res = m._resolution = _Resolution(m)
+    k = 0
+    while True:
+        step = res.step(k)
+        if step is None:
+            return
+        yield step
+        k += 1
 
 
 def minimal_resolution(m: Module, cutoff: int, iso_bound: int = 2**16) -> ResolutionReport:

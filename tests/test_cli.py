@@ -48,6 +48,8 @@ def test_field_flag_override(capsys):
         ["findim", "a2.json", "--cutoff", "0"],
         ["findim", "a2.json", "--field", "Q"],
         ["findim", "a2.json", "--max-dim", "-1"],
+        ["findim", "a2.json", "--max-dim", "1", "--verify-theorem", "--samples", "-3"],
+        ["findim", "a2.json", "--max-dim", "1", "--verify-theorem", "--samples", "0"],
         ["pd", "a2.json", '{"dim_vector": [1, 1], "arrows": {"zz": [[1]]}}'],
         ["invariants", "a2.json", "a2_s0.json"],
         ["invariants", "a2.json", '{"terms": {"0": {"proj": [-1, 0]}}}'],

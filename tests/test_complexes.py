@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from findim import (
     cone,
     direct_sum,
     enumerate_modules,
+    ghost_maps,
     hom_support,
     null_homotopy,
     shift,
@@ -38,6 +40,7 @@ from findim.invariants import (
     resolution_complex,
     resolve_to_perfect,
 )
+from findim.linalg import column_space_basis, in_span, kernel_basis
 from findim.modules import resolution_steps
 from util import a2, dual_numbers, nakayama3
 
@@ -304,3 +307,136 @@ def test_hom_into_simples_counts_resolution_summands_over_q(build):
     rng = random.Random(11)
     for _ in range(15):
         _check_tops(random_module(alg, rng))
+
+
+# -- the product-free self-checks against the multiply-and-subtract ones -----
+
+
+def _commutes_reference(f):
+    """d_Y o f^n - f^{n+1} o d_X is zero in every degree, by products."""
+    for n in set(f.source.terms) | set(f.target.terms):
+        lhs = f.target.diff(n).compose(f.comp(n))
+        rhs = f.comp(n + 1).compose(f.source.diff(n))
+        if not (lhs - rhs).is_zero():
+            return False
+    return True
+
+
+def _ghost_reference(f):
+    """Every cycle of the source maps into the boundaries, column by column."""
+    x, y = f.source, f.target
+    for n in sorted(set(x.terms)):
+        for v in range(x.algebra.num_vertices):
+            z = kernel_basis(x.diff(n).mats[v])
+            if z.cols == 0:
+                continue
+            bound = column_space_basis(y.diff(n - 1).mats[v])
+            fv = f.comp(n).mats[v]
+            for c in range(z.cols):
+                if not in_span(bound, fv.apply(z.col(c))):
+                    return False
+    return True
+
+
+def _check_compose(g, f):
+    """g.compose(f) has the components of g after f over every degree of
+    the source of f, zero ones dropped."""
+    ref = ChainMap(
+        f.source, g.target, {n: g.comp(n).compose(f.comp(n)) for n in f.source.terms}, check=False
+    )
+    got = g.compose(f)
+    assert got.comps.keys() == ref.comps.keys()
+    assert all(got.comps[n].mats == ref.comps[n].mats for n in ref.comps)
+
+
+def _tampered(f, rng):
+    """Deep copies of f, each with one entry changed in place: in a
+    component (an identity one, for the ghost windows) or in a
+    differential of the source or the target."""
+    fld = f.source.algebra.field
+    out = []
+    for where in ("comp", "source", "target"):
+        g = copy.deepcopy(f)
+        maps = {"comp": g.comps, "source": g.source.diffs, "target": g.target.diffs}[where]
+        cells = [
+            (m, r, c)
+            for _, d in sorted(maps.items())
+            for m in d.mats
+            for r in range(m.rows)
+            for c in range(m.cols)
+        ]
+        if not cells:
+            continue
+        m, r, c = rng.choice(cells)
+        m.data[r][c] = fld.add(m.data[r][c], fld.coerce(rng.randrange(1, fld.p or 3)))
+        out.append(g)
+    return out
+
+
+def _check_against_references(f, rng):
+    """The fast checks agree with the references on f and on tampered copies."""
+    assert f.commutes() == _commutes_reference(f)
+    assert induced_cohomology_zero(f) == _ghost_reference(f)
+    refused = 0
+    for g in _tampered(f, rng):
+        assert g.commutes() == _commutes_reference(g)
+        assert induced_cohomology_zero(g) == _ghost_reference(g)
+        refused += not (_commutes_reference(g) and _ghost_reference(g))
+    return refused
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_ghost_window_checks_match_references(build, field):
+    rng = random.Random(7)
+    windows = refused = 0
+    for m in enumerate_modules(build(field), 3):
+        if m.is_zero():
+            continue
+        maps, _ = ghost_maps(m, 2)
+        for phi in maps:
+            assert phi.commutes() and _commutes_reference(phi)
+            assert induced_cohomology_zero(phi) and _ghost_reference(phi)
+            refused += _check_against_references(phi, rng)
+            windows += 1
+        _check_compose(maps[1], maps[0])
+    assert windows and refused  # some tampering shows
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_random_chain_map_checks_match_references(build, field):
+    alg = build(field)
+    rng = random.Random(3)
+    for _ in range(6):
+        x = random_perfect_complex(alg, rng)
+        for y in (x, shift(x, 1), random_perfect_complex(alg, rng)):
+            f = random_chain_map(x, y, rng)
+            _check_against_references(f, rng)
+            _check_compose(random_chain_map(y, x, rng), f)
+
+
+def test_fast_checks_see_an_edit_after_a_check():
+    """The kernel and boundary bases are remembered per differential, but
+    every in-place edit of an entry, made after the checks have run, shows
+    in both checks as it does in the references, and undoing it restores
+    the pass."""
+    a = dual_numbers(GF(3))
+    maps, _ = ghost_maps(a.simple(0), 2)  # runs both checks on each window
+    phi = maps[0]
+    diffs = list(phi.source.diffs.values()) + list(phi.target.diffs.values())
+    mats = {id(m): m for f in diffs + list(phi.comps.values()) for m in f.mats}
+    not_chain = not_ghost = 0
+    for m in mats.values():
+        for r in range(m.rows):
+            for c in range(m.cols):
+                old = m.data[r][c]
+                m.data[r][c] = (old + 1) % 3
+                chain, ghost = _commutes_reference(phi), _ghost_reference(phi)
+                assert phi.commutes() == chain
+                assert induced_cohomology_zero(phi) == ghost
+                not_chain += not chain
+                not_ghost += not ghost
+                m.data[r][c] = old
+                assert phi.commutes() and induced_cohomology_zero(phi)
+    assert not_chain and not_ghost

@@ -395,3 +395,16 @@ def test_public_constructor_coerces_and_copies(field):
     assert all(_canonical(field, x) for row in m.data for x in row)
     data[0][0] = 9
     assert m.data[0][0] == 1
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_is_identity_reads_every_entry(field):
+    for n in range(4):
+        assert Matrix.identity(field, n).is_identity()
+    assert not Matrix.zeros(field, 2, 3).is_identity()
+    assert not Matrix.zeros(field, 2, 2).is_identity()
+    for r in range(3):
+        for c in range(3):
+            m = Matrix.identity(field, 3)
+            m.data[r][c] = field.add(m.data[r][c], field.one())
+            assert not m.is_identity()

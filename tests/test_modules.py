@@ -5,11 +5,14 @@ import pytest
 
 from findim import (
     GF,
+    QQ,
     Matrix,
     Module,
     ModuleMap,
     Quiver,
     build_algebra,
+    enumerate_modules,
+    ghost_pd_oracle,
     hom_space,
     inj_dim,
     minimal_resolution,
@@ -21,11 +24,13 @@ from findim import (
 from findim.linalg import rank, solve_matrix
 from findim.modules import (
     direct_sum_modules,
+    kernel_of,
     map_from_generator_images,
     modules_isomorphic,
     projsum_module,
     quotient_module,
     radical_basis,
+    resolution_steps,
     submodule_closure,
     top_dims,
     yoneda_coordinates,
@@ -254,3 +259,98 @@ def test_iso_search_heavy_case():
     c = _conjugate(s4, random.Random(0))
     assert len(hom_space(s4, c)) == 16
     assert modules_isomorphic(s4, c) is True
+
+
+# -- the lazy resolution shared by every consumer ---------------------------
+
+
+def _fresh_steps(m, length):
+    """The first `length` steps of the cover loop, computed from scratch."""
+    out = []
+    current, prev_incl = m, None
+    while len(out) < length and not current.is_zero():
+        proj, cover, verts = projective_cover(current)
+        ker, incl = kernel_of(cover)
+        out.append((proj, verts, cover if prev_incl is None else prev_incl.compose(cover), ker))
+        current, prev_incl = ker, incl
+    return out
+
+
+def _same_step(got, want):
+    """Equal term, vertices, differential and syzygy, matrix for matrix."""
+    (p, v, d, k), (p2, v2, d2, k2) = got, want
+    return (
+        p == p2
+        and v == v2
+        and d.mats == d2.mats
+        and d.source.dims == d2.source.dims
+        and d.target.dims == d2.target.dims
+        and k == k2
+    )
+
+
+def _resolution_samples():
+    for build in (a2, dual_numbers, nakayama3):
+        for p in (2, 3):
+            yield from enumerate_modules(build(GF(p)), 2)
+    rng = random.Random(4)
+    for build in (dual_numbers, nakayama3):
+        for _ in range(4):
+            yield random_module(build(QQ), rng)
+
+
+def test_lazy_resolution_matches_a_fresh_cover_loop():
+    for m in _resolution_samples():
+        want = _fresh_steps(m, 7)
+        got = list(itertools.islice(resolution_steps(m), 7))
+        assert len(got) == len(want)
+        assert all(_same_step(g, w) for g, w in zip(got, want))
+
+
+def test_lazy_resolution_early_stop_then_deeper():
+    for m in _resolution_samples():
+        want = _fresh_steps(m, 6)
+        short = list(itertools.islice(resolution_steps(m), 2))
+        deep = list(itertools.islice(resolution_steps(m), 6))
+        assert deep[:2] == short
+        assert len(deep) == len(want)
+        assert all(_same_step(g, w) for g, w in zip(deep, want))
+
+
+def test_lazy_resolution_interleaved_iterators():
+    m = dual_numbers(GF(3)).simple(0)  # periodic: the resolution never ends
+    first, second = resolution_steps(m), resolution_steps(m)
+    a = [next(first), next(first), next(second), next(first), next(second), next(second)]
+    assert a[0] is a[2] and a[1] is a[4] and a[3] is a[5]
+    want = _fresh_steps(m.algebra.simple(0), 3)  # a new object: no memo
+    assert all(_same_step(g, w) for g, w in zip([a[0], a[1], a[3]], want))
+
+
+def test_lazy_resolution_of_zero_module_yields_nothing():
+    a = a2()
+    assert list(resolution_steps(a.zero_module())) == []
+    assert list(resolution_steps(Module(a, [0, 0], {}))) == []
+
+
+def test_lazy_resolution_covers_each_step_once(monkeypatch):
+    import findim.modules as fmod
+
+    calls = []
+    cover = fmod.projective_cover
+
+    def counting(m):
+        calls.append(m)
+        return cover(m)
+
+    monkeypatch.setattr(fmod, "projective_cover", counting)
+    for build in (a2, dual_numbers, nakayama3):
+        for m in enumerate_modules(build(GF(2)), 2):
+            if m.is_zero():
+                continue
+            expected = len(_fresh_steps(m, 16))
+            calls.clear()
+            proj_dim(m, 10)
+            for n in range(1, 7):
+                ghost_pd_oracle(m, n, 16)
+            assert len(calls) == expected
+            assert len(set(map(id, calls))) == expected
