@@ -45,7 +45,13 @@ from .complexes import (
 )
 
 
-from .invariants import ResolutionCutoffError, random_perfect_complex, resolution_complex
+from .invariants import (
+    ResolutionCutoffError,
+    algebra_complex,
+    random_perfect_complex,
+    resolution_complex,
+    resolve_to_perfect,
+)
 
 
 # -- module enumeration and finitistic dimension -----------------------------
@@ -189,9 +195,7 @@ def finitistic_generator(algebra, d: int) -> Complex:
 
     Its self-Hom support is {-d, 0, d}, so its amplitude is exactly d.
     """
-    ax = projsum_complex(algebra, tuple(range(algebra.num_vertices)), 0)
-    if d == 0:
-        return direct_sum(algebra, [ax, ax])
+    ax = algebra_complex(algebra)
     return direct_sum(algebra, [ax, shift(ax, d)])
 
 
@@ -463,17 +467,14 @@ def certificate_from_resolution(
     certificate (a negative control for the verifier); leave it None for
     real use.
     """
-    target = stalk_complex(m, 0)
-    if m.is_zero():
-        return _certificate(resolution_complex(m.algebra, []), target, {})
-    res = minimal_resolution(m, cutoff)
-    if not res.status.is_finite:
-        raise ResolutionCutoffError("pd not finite within cutoff")
-    d = [res.augmentation] + res.differentials
-    x = resolution_complex(m.algebra, zip(res.terms, res.term_verts, d))
+    x = resolve_to_perfect(m, cutoff)
+    comps = {}
+    if not m.is_zero():
+        # the augmentation P_0 -> m: step 0 of the resolution just read
+        comps[0] = next(resolution_steps(m))[2]
     if truncate_at is not None:
         x = stupid_truncate(x, "ge", -max(truncate_at, 0))
-    return _certificate(x, target, {0: res.augmentation})
+    return _certificate(x, stalk_complex(m, 0), comps)
 
 
 # -- minimal models of perfect complexes -------------------------------------
@@ -668,21 +669,19 @@ def ghost_maps(m: Module, n: int) -> Tuple[List[ChainMap], ChainMap]:
     resolution differentials.  phi_i maps the window [-n-i, -i+1] to the
     window [-n-i-1, -i] by the identity in every shared degree.  Each phi_i
     induces zero on cohomology (asserted), so the composite is a composite
-    of n ghosts.
+    of n ghosts.  The target window of phi_i is the source window of
+    phi_{i+1}, so the n+1 windows and the identity of each term are built
+    once and shared.
     """
     if n < 1:
         raise ValueError("need at least one ghost map")
     steps = itertools.islice(resolution_steps(m), 2 * n + 2)
     q = resolution_complex(m.algebra, ((proj, verts, d) for proj, verts, d, _ in steps))
+    ids = {deg: ModuleMap.identity(t) for deg, t in q.terms.items()}
+    windows = [_window(q, -n - k - 1, -k) for k in range(n + 1)]
     maps: List[ChainMap] = []
-    for i in range(1, n + 1):
-        src = _window(q, -n - i, -i + 1)
-        tgt = _window(q, -n - i - 1, -i)
-        comps = {
-            deg: ModuleMap.identity(src.terms[deg])
-            for deg in src.terms
-            if deg in tgt.terms
-        }
+    for src, tgt in zip(windows, windows[1:]):
+        comps = {deg: ids[deg] for deg in src.terms if deg in tgt.terms}
         phi = ChainMap(src, tgt, comps, check=False)
         if not phi.commutes():
             raise RuntimeError("ghost window map fails to be a chain map")

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .linalg import (
     Matrix,
     column_space_basis,
-    complement_columns,
     kernel_basis,
     rank,
     solve,
@@ -31,10 +30,12 @@ from .modules import (
     ModuleMap,
     direct_sum_modules,
     generator_positions,
+    kernel_of,
     map_from_generator_images,
     projective_cover,
     projsum_module,
     projsum_offsets,
+    quotient_module,
     yoneda_coordinates,
     yoneda_dim,
 )
@@ -300,9 +301,6 @@ def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
                 Matrix.block_diag(algebra.field, [x.diff(n).mats[v] for x in xs])
                 for v in range(algebra.num_vertices)
             ]
-            for v in range(algebra.num_vertices):
-                if (mats[v].rows, mats[v].cols) != (tgt.dims[v], src.dims[v]):
-                    mats[v] = Matrix.zeros(algebra.field, tgt.dims[v], src.dims[v])
             diffs[n] = ModuleMap(src, tgt, mats, check=False)
     pv = None
     if all(x.proj_verts is not None for x in xs):
@@ -310,8 +308,8 @@ def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
     return Complex(algebra, terms, diffs, proj_verts=pv, check=False)
 
 
-def cone_with_triangle(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
-    """The mapping cone together with the triangle maps Y -> cone -> shift(X,1).
+def cone(f: ChainMap) -> Complex:
+    """The mapping cone of f: X -> Y.
 
     cone^n = Y^n + X^{n+1}, differential [[d_Y, f^{n+1}], [0, -d_X^{n+1}]].
     """
@@ -347,37 +345,7 @@ def cone_with_triangle(f: ChainMap) -> Tuple[Complex, ChainMap, ChainMap]:
             n: tuple(y.proj_verts.get(n, ())) + tuple(x.proj_verts.get(n + 1, ()))
             for n in degs
         }
-    c = Complex(alg, terms, diffs, proj_verts=pv, check=False)
-    # inclusion of y and projection onto shift(x, 1)
-    incl_comps = {}
-    for n in y.terms:
-        tgt = c.term(n)
-        mats = []
-        for v in range(nv):
-            m = Matrix.zeros(fld, tgt.dims[v], y.term(n).dims[v])
-            for i in range(y.term(n).dims[v]):
-                m.data[i][i] = fld.one()
-            mats.append(m)
-        incl_comps[n] = ModuleMap(y.term(n), tgt, mats, check=False)
-    incl = ChainMap(y, c, incl_comps, check=False)
-    sx = shift(x, 1)
-    proj_comps = {}
-    for n in sx.terms:
-        src = c.term(n)
-        mats = []
-        for v in range(nv):
-            yd = y.term(n).dims[v]
-            m = Matrix.zeros(fld, sx.term(n).dims[v], src.dims[v])
-            for i in range(sx.term(n).dims[v]):
-                m.data[i][yd + i] = fld.one()
-            mats.append(m)
-        proj_comps[n] = ModuleMap(src, sx.term(n), mats, check=False)
-    proj = ChainMap(c, sx, proj_comps, check=False)
-    return c, incl, proj
-
-
-def cone(f: ChainMap) -> Complex:
-    return cone_with_triangle(f)[0]
+    return Complex(alg, terms, diffs, proj_verts=pv, check=False)
 
 
 def stupid_truncate(x: Complex, mode: str, k: int) -> Complex:
@@ -476,44 +444,17 @@ def induced_cohomology_zero(f: ChainMap) -> bool:
 
 
 def cohomology(x: Complex, n: int) -> Module:
-    """H^n(x) = ker d^n / im d^{n-1} as a representation."""
-    alg = x.algebra
-    fld = alg.field
-    nv = alg.num_vertices
-    term = x.term(n)
-    bounds = []  # per vertex: basis of im d^{n-1}
-    reps = []  # per vertex: chosen coset representatives (columns in the term)
-    for v in range(nv):
-        z = kernel_basis(x.diff(n).mats[v])
-        b = column_space_basis(x.diff(n - 1).mats[v])
-        chosen_cols = complement_columns(b, z)
-        rep = Matrix(
-            fld,
-            term.dims[v],
-            len(chosen_cols),
-            [[z.data[r][c] for c in chosen_cols] for r in range(term.dims[v])],
-        )
+    """H^n(x) = ker d^n / im d^{n-1} as a representation: the quotient of
+    the cycle module by the boundaries, written in its coordinates."""
+    cycles, incl = kernel_of(x.diff(n))
+    prev = x.diff(n - 1)
+    bounds = []
+    for v in range(x.algebra.num_vertices):
+        b = solve_matrix(incl.mats[v], column_space_basis(prev.mats[v]))
+        if b is None:
+            raise RuntimeError("boundaries are not cycles; d o d != 0")
         bounds.append(b)
-        reps.append(rep)
-    dims = [reps[v].cols for v in range(nv)]
-    mats = {}
-    for a in alg.quiver.arrows:
-        i, j = a.source, a.target
-        moved = term.arrow_mats[a.id] @ reps[i]
-        # express each column modulo boundaries: solve [bounds | reps] and
-        # keep the reps part
-        basis = Matrix.hstack(fld, [bounds[j], reps[j]], rows=term.dims[j])
-        sol = solve_matrix(basis, moved)
-        if sol is None:
-            raise RuntimeError("arrow action does not preserve cycles")
-        mat = Matrix(
-            fld,
-            dims[j],
-            dims[i],
-            [sol.data[bounds[j].cols + r] for r in range(dims[j])],
-        )
-        mats[a.id] = mat
-    return Module(alg, dims, mats, check=False)
+    return quotient_module(cycles, bounds)[0]
 
 
 # -- recognizing complexes of projectives ------------------------------------
@@ -602,10 +543,6 @@ class HomComplex:
 
     def dim(self, n: int) -> int:
         return sum(d for _, d in self._blocks.get(n, []))
-
-    @property
-    def degrees(self) -> List[int]:
-        return [n for n in range(self._lo, self._hi + 1) if self.dim(n) > 0]
 
     # coordinates <-> collections of per-degree module maps
 

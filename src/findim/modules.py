@@ -170,9 +170,6 @@ class ModuleMap:
             check=False,
         )
 
-    def __neg__(self) -> "ModuleMap":
-        return ModuleMap(self.source, self.target, [-a for a in self.mats], check=False)
-
     def scale(self, c) -> "ModuleMap":
         return ModuleMap(
             self.source, self.target, [m.scale(c) for m in self.mats], check=False
@@ -210,9 +207,6 @@ def direct_sum_modules(algebra, mods: Sequence[Module]) -> Tuple[Module, List[Li
     mats = {}
     for a in algebra.quiver.arrows:
         mats[a.id] = Matrix.block_diag(f, [m.arrow_mats[a.id] for m in mods])
-        # block_diag loses the shape when all summands are empty at a vertex
-        if (mats[a.id].rows, mats[a.id].cols) != (dims[a.target], dims[a.source]):
-            mats[a.id] = Matrix.zeros(f, dims[a.target], dims[a.source])
     return Module(algebra, dims, mats, check=False), offsets
 
 
@@ -658,7 +652,7 @@ def resolution_steps(m: Module) -> Iterator[Tuple[Module, List[int], ModuleMap, 
         k += 1
 
 
-def minimal_resolution(m: Module, cutoff: int, iso_bound: int = 2**16) -> ResolutionReport:
+def minimal_resolution(m: Module, cutoff: int) -> ResolutionReport:
     """Iterate projective covers and syzygies up to the cutoff.
 
     Status is Finite(n) when the n-th syzygy vanishes with n <= cutoff; a
@@ -682,7 +676,7 @@ def minimal_resolution(m: Module, cutoff: int, iso_bound: int = 2**16) -> Resolu
             status = PdResult("finite", k)
             break
         j = next(
-            (j for j, old in enumerate(syzygies) if modules_isomorphic(old, ker, iso_bound)),
+            (j for j, old in enumerate(syzygies) if modules_isomorphic(old, ker)),
             None,
         )
         if j is not None:
@@ -692,10 +686,10 @@ def minimal_resolution(m: Module, cutoff: int, iso_bound: int = 2**16) -> Resolu
     return ResolutionReport(m, terms, term_verts, diffs[1:], diffs[0], status)
 
 
-def proj_dim(m: Module, cutoff: int, iso_bound: int = 2**16) -> PdResult:
-    return minimal_resolution(m, cutoff, iso_bound).status
+def proj_dim(m: Module, cutoff: int) -> PdResult:
+    return minimal_resolution(m, cutoff).status
 
 
-def inj_dim(m: Module, cutoff: int, iso_bound: int = 2**16) -> PdResult:
+def inj_dim(m: Module, cutoff: int) -> PdResult:
     """Injective dimension, via the projective dimension of the dual over A^op."""
-    return proj_dim(m.algebra.dual_module(m), cutoff, iso_bound)
+    return proj_dim(m.algebra.dual_module(m), cutoff)

@@ -72,6 +72,8 @@ def matrix_to_json(m: Matrix) -> List[List]:
 def matrix_from_json(field: Field, rows: int, cols: int, data) -> Matrix:
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"expected {rows} matrix rows, got {data!r}")
+    if not all(isinstance(r, list) for r in data):
+        raise ParseError(f"expected each matrix row to be a list, got {data!r}")
     try:
         return Matrix(field, rows, cols, [[scalar_from_json(field, x) for x in r] for r in data])
     except ValueError as e:
@@ -228,6 +230,13 @@ def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
     terms: Dict[int, Module] = {}
     pv: Dict[int, tuple] = {}
     all_proj = True
+
+    def ends(n):
+        for end in (n, n + 1):
+            if end not in terms:
+                raise ParseError(f"differential at degree {n}: no term at degree {end}")
+        return terms[n], terms[n + 1]
+
     try:
         for key, tdoc in doc["terms"].items():
             n = int(key)
@@ -238,18 +247,7 @@ def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
             else:
                 terms[n] = module_from_json(algebra, tdoc)
                 all_proj = False
-        diffs: Dict[int, ModuleMap] = {}
-        for key, mats_doc in doc.get("differentials", {}).items():
-            n = int(key)
-            for end in (n, n + 1):
-                if end not in terms:
-                    raise ParseError(f"differential at degree {n}: no term at degree {end}")
-            src, tgt = terms[n], terms[n + 1]
-            mats = [
-                matrix_from_json(algebra.field, tgt.dims[v], src.dims[v], mats_doc[v])
-                for v in range(algebra.num_vertices)
-            ]
-            diffs[n] = ModuleMap(src, tgt, mats, check=False)
+        diffs = _maps_from_json(algebra, doc.get("differentials", {}), ends, "complex")
         x = Complex(algebra, terms, diffs, proj_verts=pv if all_proj else None)
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
@@ -270,24 +268,43 @@ def chain_map_to_json(f: ChainMap) -> dict:
     }
 
 
-def chain_map_from_json(
-    source: Complex, target: Complex, doc: dict, check: bool = True
-) -> ChainMap:
-    comps: Dict[int, ModuleMap] = {}
-    algebra = source.algebra
+def _maps_from_json(algebra: FDAlgebra, doc, ends, what: str) -> Dict[int, ModuleMap]:
+    """The module maps of a {degree: [one matrix per vertex]} document.
+
+    `ends(n)` gives the source and target modules of the map in degree n;
+    `what` names the document in error messages.
+    """
+    if not isinstance(doc, dict):
+        raise ParseError(f"bad {what} document: expected an object, got {doc!r}")
+    nv = algebra.num_vertices
+    maps: Dict[int, ModuleMap] = {}
     try:
         for key, mats_doc in doc.items():
             n = int(key)
-            src, tgt = source.term(n), target.term(n)
+            src, tgt = ends(n)
+            if not isinstance(mats_doc, list) or len(mats_doc) != nv:
+                raise ParseError(
+                    f"bad {what} document: degree {n} needs a list of {nv} matrices, "
+                    f"one per vertex, got {mats_doc!r}"
+                )
             mats = [
                 matrix_from_json(algebra.field, tgt.dims[v], src.dims[v], mats_doc[v])
-                for v in range(algebra.num_vertices)
+                for v in range(nv)
             ]
-            comps[n] = ModuleMap(src, tgt, mats, check=False)
+            maps[n] = ModuleMap(src, tgt, mats, check=False)
     except (TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise
-        raise ParseError(f"bad chain map document: {e}") from e
+        raise ParseError(f"bad {what} document: {e}") from e
+    return maps
+
+
+def chain_map_from_json(
+    source: Complex, target: Complex, doc: dict, check: bool = True
+) -> ChainMap:
+    comps = _maps_from_json(
+        source.algebra, doc, lambda n: (source.term(n), target.term(n)), "chain map"
+    )
     f = ChainMap(source, target, comps, check=False)
     if check and not f.commutes():
         raise ParseError("chain map does not commute with the differentials")
@@ -301,21 +318,9 @@ def homotopy_to_json(h: Homotopy) -> dict:
 
 
 def homotopy_from_json(source: Complex, target: Complex, doc: dict) -> Homotopy:
-    maps: Dict[int, ModuleMap] = {}
-    algebra = source.algebra
-    try:
-        for key, mats_doc in doc.items():
-            n = int(key)
-            src, tgt = source.term(n), target.term(n - 1)
-            mats = [
-                matrix_from_json(algebra.field, tgt.dims[v], src.dims[v], mats_doc[v])
-                for v in range(algebra.num_vertices)
-            ]
-            maps[n] = ModuleMap(src, tgt, mats, check=False)
-    except (TypeError, ValueError) as e:
-        if isinstance(e, ParseError):
-            raise
-        raise ParseError(f"bad homotopy document: {e}") from e
+    maps = _maps_from_json(
+        source.algebra, doc, lambda n: (source.term(n), target.term(n - 1)), "homotopy"
+    )
     return Homotopy(source, target, maps)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import findim
@@ -125,3 +127,65 @@ def test_commutative_square_with_commutativity_relation():
     alg = build_algebra(q, [rel], GF(3), 4)
     # 4 idempotents + 4 arrows + 1 path class of length two
     assert alg.dim == 9
+
+
+# -- structure constants against the algebra axioms --------------------------
+
+
+def _linear_rad2(field):
+    """The linear quiver 0 -> 1 -> 2 -> 3 with every path of length two zero."""
+    q = Quiver(4, [("a0", 0, 1), ("a1", 1, 2), ("a2", 2, 3)])
+    rels = [Relation(q, [(1, ["a0", "a1"])]), Relation(q, [(1, ["a1", "a2"])])]
+    return build_algebra(q, rels, field, 4)
+
+
+def _times(alg, u, v):
+    """The product of two elements given as {basis index: coefficient},
+    expanded over mult_basis, with zero coefficients dropped."""
+    f = alg.field
+    out = {}
+    for k1, c1 in u.items():
+        for k2, c2 in v.items():
+            for k, c in alg.mult_basis(k1, k2).items():
+                out[k] = f.add(out.get(k, f.zero()), f.mul(f.mul(c1, c2), c))
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _commutative_cubes(field):
+    """k[x, y]/(x^3, y^3, xy - yx): products of length up to four survive,
+    reduced through a relation that is not a monomial."""
+    q = Quiver(1, [("x", 0, 0), ("y", 0, 0)])
+    rels = [
+        Relation(q, [(1, ["x", "x", "x"])]),
+        Relation(q, [(1, ["y", "y", "y"])]),
+        Relation(q, [(1, ["x", "y"]), (-1, ["y", "x"])]),
+    ]
+    return build_algebra(q, rels, field, 8)
+
+
+# in the algebras with rad^2 = 0 every product of two arrows is zero, so only
+# the last algebra checks the reduction of longer products; it is left out
+# over Q, where building it takes seconds
+MULT_CASES = [
+    (build, field)
+    for build in (k_algebra, a2, dual_numbers, nakayama3, _linear_rad2)
+    for field in (GF(2), GF(3), QQ)
+] + [(_commutative_cubes, GF(2)), (_commutative_cubes, GF(3))]
+
+
+@pytest.mark.parametrize(
+    "build, field", MULT_CASES, ids=[f"{b.__name__}-{f!r}" for b, f in MULT_CASES]
+)
+def test_mult_basis_is_associative_and_unital(build, field):
+    alg = build(field)
+    one = alg.field.one()
+    basis = range(alg.dim)
+    for k1, k2, k3 in itertools.product(basis, repeat=3):
+        left = _times(alg, _times(alg, {k1: one}, {k2: one}), {k3: one})
+        right = _times(alg, {k1: one}, _times(alg, {k2: one}, {k3: one}))
+        assert left == right
+    idem = {alg.basis_path(k)[0]: k for k in basis if not alg.basis_path(k)[1]}
+    assert sorted(idem) == list(range(alg.num_vertices))
+    for k in basis:
+        start = alg.basis_path(k)[0]
+        assert alg.mult_basis(idem[start], k) == {k: one}

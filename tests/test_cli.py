@@ -56,6 +56,24 @@ def test_field_flag_override(capsys):
         ["invariants", "a2.json", '{"terms": {"0": {"proj": [1.7, 0]}}}'],
         ["invariants", "a2.json", '{"terms": {"0": {"proj": [1]}}}'],
         ["invariants", "a2.json", '{"terms": {"0": {"proj": [1, 0]}}, "differentials": {"0": 5}}'],
+        ["pd", "a2.json", '{"dim_vector": [1, 1], "arrows": {"a": [1]}}'],
+        [
+            "invariants",
+            "a2.json",
+            '{"terms": {"0": {"proj": [1, 0]}, "1": {"proj": [0, 1]}}, "differentials": {"0": [[]]}}',
+        ],
+        [
+            "verify-certificate",
+            "a2.json",
+            '{"generator": "A", "level": 0, "steps": [], "compare": [], "target": {"terms": {}}}',
+        ],
+        [
+            "verify-certificate",
+            "a2.json",
+            '{"generator": "A", "level": 1, "steps": [{"leaf": {"summand": 0, "shift": 0}, '
+            '"object": {"terms": {"0": {"proj": [1, 0]}}}, "level": 1}], '
+            '"compare": {"0": [[[1]]]}, "target": {"terms": {"0": {"proj": [1, 0]}}}}',
+        ],
     ],
     ids=" ".join,
 )
