@@ -170,9 +170,7 @@ def cmd_verify_certificate(args) -> int:
         complex_from_json(algebra, _load_json(args.target)) if args.target else None
     )
     cert = certificate_from_json(algebra, cert_doc, target)
-    if target is None:
-        target = complex_from_json(algebra, cert_doc["target"])
-    result = verify_certificate(cert, target, algebra)
+    result = verify_certificate(cert, cert.compare.target, algebra)
     report = _envelope(args, "verify-certificate")
     report["ok"] = result.ok
     report["diagnostics"] = result.diagnostics

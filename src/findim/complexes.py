@@ -46,7 +46,15 @@ class NotPerfectError(ValueError):
 
 
 class Complex:
-    """Bounded cochain complex of modules with degree +1 differentials."""
+    """Bounded cochain complex of modules with degree +1 differentials.
+
+    Complexes, like modules, are not edited after construction: their
+    terms, differentials and descriptors are shared by the complexes built
+    from them, and answers computed from a complex are remembered on it.
+    `cohomology(x, n)` remembers its module per degree on x, and
+    `invariants.hom_support(x, y)` remembers the Hom-support on the source
+    x per target object y, holding y only weakly.
+    """
 
     def __init__(
         self,
@@ -68,6 +76,11 @@ class Complex:
         )
         if check:
             self._validate()
+
+    def __getstate__(self):
+        # copies and pickles leave the remembered answers (the underscore
+        # attributes) behind: they hold weak references
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def _validate(self):
         for n, d in self.diffs.items():
@@ -367,14 +380,12 @@ def stupid_truncate(x: Complex, mode: str, k: int) -> Complex:
 
 
 def cohomology_dims(x: Complex) -> Dict[int, int]:
-    """Total dimension of H^n for every degree, computed vertexwise."""
+    """Total dimension of H^n for every degree: dim x^n - rank d^n -
+    rank d^{n-1}, each rank summed over the vertices and computed once."""
+    ranks = {n: sum(rank(m) for m in d.mats) for n, d in x.diffs.items()}
     out: Dict[int, int] = {}
     for n in x.support:
-        total = 0
-        for v in range(x.algebra.num_vertices):
-            dn = x.diff(n).mats[v]
-            dprev = x.diff(n - 1).mats[v]
-            total += (dn.cols - rank(dn)) - rank(dprev)
+        total = x.terms[n].total_dim - ranks.get(n, 0) - ranks.get(n - 1, 0)
         if total:
             out[n] = total
     return out
@@ -445,7 +456,16 @@ def induced_cohomology_zero(f: ChainMap) -> bool:
 
 def cohomology(x: Complex, n: int) -> Module:
     """H^n(x) = ker d^n / im d^{n-1} as a representation: the quotient of
-    the cycle module by the boundaries, written in its coordinates."""
+    the cycle module by the boundaries, written in its coordinates.
+
+    The module is remembered on x per degree, so every caller gets the
+    same object and shares its lazy resolution; it must not be mutated.
+    """
+    memo = getattr(x, "_cohomology", None)
+    if memo is None:
+        memo = x._cohomology = {}
+    elif n in memo:
+        return memo[n]
     cycles, incl = kernel_of(x.diff(n))
     prev = x.diff(n - 1)
     bounds = []
@@ -454,7 +474,8 @@ def cohomology(x: Complex, n: int) -> Module:
         if b is None:
             raise RuntimeError("boundaries are not cycles; d o d != 0")
         bounds.append(b)
-    return quotient_module(cycles, bounds)[0]
+    h = memo[n] = quotient_module(cycles, bounds)[0]
+    return h
 
 
 # -- recognizing complexes of projectives ------------------------------------
@@ -650,17 +671,19 @@ class HomComplex:
             pos += tgt.dims[i]
         return map_from_generator_images(self.algebra, verts, tgt, images)
 
-    def cohomology_dim(self, n: int) -> int:
-        dn = self.diff_matrix(n)
-        dprev = self.diff_matrix(n - 1)
-        return (dn.cols - rank(dn)) - rank(dprev)
-
     def cohomology_dims(self) -> Dict[int, int]:
+        """dim H^n = dim - rank delta^n - rank delta^{n-1} for every degree,
+        carrying the rank of delta^{n-1} forward from the degree before.
+        Below the lowest degree the Hom complex is zero."""
         out = {}
+        rprev = 0
         for n in range(self._lo, self._hi + 1):
-            d = self.cohomology_dim(n)
+            dn = self.diff_matrix(n)
+            r = rank(dn)
+            d = dn.cols - r - rprev
             if d:
                 out[n] = d
+            rprev = r
         return out
 
 

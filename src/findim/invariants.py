@@ -10,6 +10,7 @@ here are exact dimensions, never samples.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -102,8 +103,37 @@ def algebra_complex(algebra, degree: int = 0) -> Complex:
 
 
 def hom_support(x: Complex, y: Complex) -> HomSupport:
-    """Degrees n with Hom(x, shift(y, n)) nonzero, with dimensions."""
-    return HomSupport(HomComplex(x, y).cohomology_dims())
+    """Degrees n with Hom(x, shift(y, n)) nonzero, with dimensions.
+
+    The dimensions are remembered on x per target object y, which is held
+    by a weak reference: the entry goes when y does, and is only read for
+    the very object it was computed for.  Each call returns a new
+    HomSupport, so editing its dims never changes a later answer.
+    """
+    memo = getattr(x, "_hom_supports", None)
+    if memo is None:
+        memo = x._hom_supports = {}
+    key = id(y)
+    hit = memo.get(key)
+    if hit is not None and hit[0]() is y:
+        return HomSupport(dict(hit[1]))
+    dims = HomComplex(x, y).cohomology_dims()
+    memo[key] = (weakref.ref(y, _forget(x, key)), dims)
+    return HomSupport(dict(dims))
+
+
+def _forget(x: Complex, key: int):
+    """Weak-reference callback dropping the entry `key` of the memo on x
+    when its target dies, unless the entry has since been replaced.  It
+    holds x weakly too, so a memo is never kept alive by its own entries."""
+    xref = weakref.ref(x)
+
+    def drop(ref):
+        memo = getattr(xref(), "_hom_supports", {})
+        if memo.get(key, (None,))[0] is ref:
+            del memo[key]
+
+    return drop
 
 
 def _diameter(s: HomSupport) -> int:
@@ -136,14 +166,10 @@ def invariants_report(x: Complex, y: Optional[Complex] = None) -> dict:
     """JSON-ready summary {"support": .., "h": .., "amplitude": ..}.
 
     The support and h are taken against y, or against x itself when y is
-    None; each Hom complex is built once.
+    None, in which case the amplitude reads the same remembered support.
     """
     s = hom_support(x, y if y is not None else x)
-    return {
-        "support": s.to_json(),
-        "h": _diameter(s),
-        "amplitude": _reach(s) if y is None else amplitude(x),
-    }
+    return {"support": s.to_json(), "h": _diameter(s), "amplitude": amplitude(x)}
 
 
 # -- seeded samplers ---------------------------------------------------------

@@ -4,6 +4,9 @@ import time
 
 import pytest
 
+import findim.certificates
+import findim.cli
+import findim.serialize
 from findim import certificate_from_resolution, resolve_to_perfect, stalk_complex
 from findim.cli import main
 from findim.serialize import certificate_to_json, complex_to_json, dumps
@@ -189,6 +192,47 @@ def test_verify_certificate_roundtrip(tmp_path, capsys):
     assert main(["verify-certificate", data("a2.json"), str(cf)]) == 0
     out = capsys.readouterr().out
     assert "ok: level 2" in out
+
+
+def test_verify_certificate_parses_each_complex_once(tmp_path, monkeypatch):
+    """Five step objects, the final object's compare target and nothing
+    more: the target is taken from the parsed certificate."""
+    calls = []
+    real = findim.serialize.complex_from_json
+
+    def counting(algebra, doc):
+        calls.append(doc)
+        return real(algebra, doc)
+
+    monkeypatch.setattr(findim.serialize, "complex_from_json", counting)
+    monkeypatch.setattr(findim.cli, "complex_from_json", counting)
+    s0 = a2().simple(0)
+    cert = certificate_from_resolution(s0, 5)
+    assert len(cert.steps) == 5
+    cf = tmp_path / "cert.json"
+    cf.write_text(dumps(certificate_to_json(cert, stalk_complex(s0, 0))))
+    assert main(["verify-certificate", data("a2.json"), str(cf)]) == 0
+    assert len(calls) == 6
+
+
+def test_verify_theorem_resolves_each_cohomology_module_once(monkeypatch, capsys):
+    """The sampler and the certificate builder read the same cohomology
+    module of each kept sample, and with it its one lazy resolution."""
+    args = ["findim", data("nakayama3.json"), "--max-dim", "2", "--verify-theorem", "--samples", "50"]
+    assert main(args) == 0
+    before = capsys.readouterr().out
+    seen = []
+    real = findim.certificates.proj_dim
+
+    def recording(m, cutoff):
+        seen.append(m)  # held, so no id is reused
+        return real(m, cutoff)
+
+    monkeypatch.setattr(findim.certificates, "proj_dim", recording)
+    assert main(args) == 0
+    assert capsys.readouterr().out == before
+    assert len(seen) == 128
+    assert len({id(m) for m in seen}) == 64
 
 
 def test_verify_certificate_rejects_truncated(tmp_path):

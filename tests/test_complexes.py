@@ -45,6 +45,7 @@ from findim.linalg import (
     complement_columns,
     in_span,
     kernel_basis,
+    rank,
     solve_matrix,
 )
 from findim.modules import Module, resolution_steps
@@ -495,3 +496,51 @@ def test_cohomology_matches_reference(build, field):
                     assert [[type(e) for e in row] for row in g] == [[type(e) for e in row] for row in r]
                 modules += 1
     assert modules
+
+
+# -- cohomology dimensions against two ranks per degree -----------------------
+
+
+def _cohomology_dims_reference(x):
+    """dim H^n = (cols - rank d^n) - rank d^{n-1} at each vertex, with both
+    ranks computed in every degree."""
+    out = {}
+    for n in x.support:
+        total = 0
+        for v in range(x.algebra.num_vertices):
+            dn, dprev = x.diff(n).mats[v], x.diff(n - 1).mats[v]
+            total += (dn.cols - rank(dn)) - rank(dprev)
+        if total:
+            out[n] = total
+    return out
+
+
+def _hom_cohomology_dims_reference(hc, x, y):
+    """The same two-ranks formula on the Hom complex, over every degree in
+    which it can be nonzero."""
+    out = {}
+    if x.is_zero_complex or y.is_zero_complex:
+        return out
+    for n in range(y.min_deg - x.max_deg, y.max_deg - x.min_deg + 1):
+        dn, dprev = hc.diff_matrix(n), hc.diff_matrix(n - 1)
+        d = (dn.cols - rank(dn)) - rank(dprev)
+        if d:
+            out[n] = d
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_carried_rank_cohomology_dims_match_two_ranks_per_degree(build, field):
+    alg = build(field)
+    nonzero = 0
+    for seed in range(2):
+        for x, y in _sample_pairs(alg, seed):
+            # the complex kind, also on cones and on non-projective stalks
+            for c in (x, y):
+                assert cohomology_dims(c) == _cohomology_dims_reference(c)
+            # the Hom-complex kind, on a fresh HomComplex for each formula
+            got = HomComplex(x, y).cohomology_dims()
+            assert got == _hom_cohomology_dims_reference(HomComplex(x, y), x, y)
+            nonzero += bool(got)
+    assert nonzero

@@ -1,9 +1,16 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
 from findim import (
+    GF,
+    QQ,
     ChainMap,
+    HomComplex,
     amplitude,
     cone,
     direct_sum,
@@ -17,6 +24,7 @@ from findim import (
     shift,
     stalk_complex,
 )
+from findim.complexes import cohomology
 from findim.invariants import (
     ResolutionCutoffError,
     algebra_complex,
@@ -74,6 +82,106 @@ def test_invariants_report_shape():
     assert rep["h"] == 1 and rep["amplitude"] == 0
     # Hom(A, A) is the algebra itself, dimension 3
     assert rep["support"] == {"0": 3}
+
+
+# -- the Hom-support memo ------------------------------------------------------
+
+
+def _battery_pairs(alg, rng, count):
+    """The (x, z) pairs of the criterion-4 battery: x, a shift of x, x plus
+    a shift, x + x and a cone on x, each against every probe."""
+    probes = _probes(alg)
+    for _ in range(count):
+        x = random_perfect_complex(alg, rng)
+        f = random_chain_map(shift(x, -1), x, rng)
+        i = rng.randint(-3, 3)
+        for obj in (x, shift(x, i), direct_sum(alg, [x, shift(x, i)]), direct_sum(alg, [x, x]), cone(f)):
+            for z in probes:
+                yield obj, z
+
+
+@pytest.mark.parametrize("field", [GF(2), QQ], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_hom_support_memo_matches_a_fresh_hom_complex(build, field):
+    alg = build(field)
+    pairs = 0
+    for x, z in _battery_pairs(alg, random.Random(31), 5):
+        want = HomComplex(x, z).cohomology_dims()
+        for _ in range(2):  # computed, then remembered
+            assert hom_support(x, z).dims == want
+            assert h_value(x, z) == (max(want) - min(want) + 1 if want else 0)
+            assert in_hom_p(x, z, 1) == (len(want) <= 1)
+        pairs += 1
+    assert pairs == 5 * 5 * (alg.num_vertices + 1)
+
+
+def test_hom_support_memo_holds_the_target_weakly():
+    a = a2()
+    x = resolve_to_perfect(a.simple(0), 5)
+    y = stalk_complex(a.simple(1), 0)
+    assert hom_support(x, y).dims == {1: 1}
+    assert len(x._hom_supports) == 1
+    ref = weakref.ref(y)
+    del y
+    gc.collect()
+    assert ref() is None
+    assert x._hom_supports == {}
+    # the self-support of amplitude makes no reference cycle through x:
+    # x goes as soon as its last reference does
+    assert amplitude(x) == 0
+    xref = weakref.ref(x)
+    gc.disable()
+    try:
+        del x
+        assert xref() is None
+    finally:
+        gc.enable()
+
+
+def test_hom_support_memo_answers_only_its_own_target():
+    a = a2()
+    x = resolve_to_perfect(a.simple(0), 5)
+    y1 = stalk_complex(a.simple(1), 0)
+    y2 = stalk_complex(a.simple(1), 0)  # equal content, another object
+    assert y1 == y2 and y1 is not y2
+    assert hom_support(x, y1).dims == {1: 1}
+    assert hom_support(x, y2).dims == {1: 1}
+    assert len(x._hom_supports) == 2
+    # an entry found under the id of another object is not read for it
+    y3 = stalk_complex(a.simple(0), 0)
+    x._hom_supports[id(y3)] = x._hom_supports.pop(id(y1))
+    assert hom_support(x, y3).dims == HomComplex(x, y3).cohomology_dims() == {0: 1}
+    # targets made and dropped in turn, whatever ids they reuse
+    for i in (0, 1, 0, 1):
+        y = stalk_complex(a.simple(i), 0)
+        assert hom_support(x, y).dims == HomComplex(x, y).cohomology_dims()
+        del y
+
+
+def test_copies_of_a_complex_leave_its_memos_behind():
+    a = a2()
+    x = resolve_to_perfect(a.simple(0), 5)
+    y = stalk_complex(a.simple(1), 0)
+    hom_support(x, y)
+    cohomology(x, 0)
+    for cx, cy in (copy.deepcopy((x, y)), pickle.loads(pickle.dumps((x, y)))):
+        assert not hasattr(cx, "_hom_supports") and not hasattr(cx, "_cohomology")
+        assert hom_support(cx, cy).dims == {1: 1}
+
+
+def test_hom_support_returns_a_new_object_each_call():
+    a = a2()
+    x = resolve_to_perfect(a.simple(0), 5)
+    y = stalk_complex(a.simple(1), 0)
+    s = hom_support(x, y)
+    s.dims[7] = 2
+    s.dims.pop(1)
+    t = hom_support(x, y)
+    assert t is not s and t.dims == {1: 1}
+    assert h_value(x, y) == 1 and amplitude(x) == 0
+    amp = hom_support(x, x)
+    amp.dims.clear()
+    assert amplitude(x) == 0 and hom_support(x, x).dims == {0: 1}
 
 
 def test_samplers_are_seed_deterministic():
