@@ -235,14 +235,6 @@ class FDAlgebra:
         }
         return Module(self, dims, mats)
 
-    def top_module(self) -> Module:
-        """A / rad A, the direct sum of all simples."""
-        from .modules import direct_sum_modules
-
-        return direct_sum_modules(
-            self, [self.simple(i) for i in range(self.num_vertices)]
-        )[0]
-
     def opposite(self) -> "FDAlgebra":
         """The opposite algebra: arrows and relation paths reversed."""
         if self._opposite is None:
@@ -277,6 +269,8 @@ class FDAlgebra:
 
 
 def _enumerate_paths(quiver: Quiver, max_len: int) -> List[List[Path]]:
+    """The paths of length <= max_len, one list per length, ending at the
+    last nonempty length: once a length has no paths, no longer one has."""
     by_len: List[List[Path]] = [[(v, ()) for v in range(quiver.num_vertices)]]
     total = quiver.num_vertices
     for _ in range(max_len):
@@ -291,6 +285,8 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> List[List[Path]]:
                 raise BudgetExceededError(
                     f"more than the budget of {MAX_PATHS} paths of length <= {max_len}"
                 )
+        if not nxt:
+            break
         total += len(nxt)
         by_len.append(nxt)
     return by_len
@@ -389,7 +385,7 @@ def _build_at_length(quiver: Quiver, relations, field: Field, n: int) -> dict:
         # still must rule out paths of length n+1; if none exist the algebra
         # is the full truncation-free path algebra and L = n+1 is certified
         has_longer = False
-        for s, arrows in by_len[n]:
+        for s, arrows in by_len[-1]:
             end = quiver.arrows[arrows[-1]].target if arrows else s
             if any(a.source == end for a in quiver.arrows):
                 has_longer = True

@@ -20,6 +20,7 @@ from .linalg import Matrix, solve_matrix
 from .modules import (
     Module,
     ModuleMap,
+    generator_positions,
     minimal_resolution,
     proj_dim,
     projsum_module,
@@ -480,27 +481,32 @@ def certificate_from_resolution(
 # -- minimal models of perfect complexes -------------------------------------
 
 
-def _select(mat: Matrix, rows: List[int], cols: List[int]) -> Matrix:
-    return Matrix(
-        mat.field,
-        len(rows),
-        len(cols),
-        [[mat.data[r][c] for c in cols] for r in rows],
-    )
+def _pivot_pair(x: Complex) -> Optional[Tuple[int, int, int]]:
+    """The first (n, g, g'), in that order, such that d^n maps summand g of
+    x^n isomorphically onto summand g' of x^{n+1}: both are Ae_i for one
+    vertex i, and the coefficient of the trivial path at the generator is
+    nonzero."""
+    algebra = x.algebra
+    for n in sorted(x.diffs):
+        mats = x.diffs[n].mats
+        tpos = generator_positions(algebra, x.proj_verts[n + 1])
+        for g, (i, col) in enumerate(generator_positions(algebra, x.proj_verts[n])):
+            for gp, (j, row) in enumerate(tpos):
+                if i == j and mats[i].data[row][col] != 0:
+                    return n, g, gp
+    return None
 
 
-def _block_indices(algebra, verts: Sequence[int]) -> List[List[List[int]]]:
-    """Per summand, per vertex: the coordinate indices of its block."""
-    offsets = projsum_offsets(algebra, verts)
+def _split(
+    algebra, verts: Sequence[int], k: int, dims: Sequence[int]
+) -> List[Tuple[range, List[int]]]:
+    """Per vertex of the projective sum with fiber dims `dims`: the
+    coordinates of summand k, and those of the other summands in order."""
+    offsets = projsum_offsets(algebra, verts) + [dims]
     out = []
-    for k, i in enumerate(verts):
-        p = algebra.projective(i)
-        out.append(
-            [
-                list(range(offsets[k][v], offsets[k][v] + p.dims[v]))
-                for v in range(algebra.num_vertices)
-            ]
-        )
+    for v, d in enumerate(dims):
+        s, e = offsets[k][v], offsets[k + 1][v]
+        out.append((range(s, e), [*range(s), *range(e, d)]))
     return out
 
 
@@ -510,121 +516,62 @@ def minimize_perfect(x: Complex) -> Tuple[Complex, ChainMap]:
 
     A differential component between summands Ae_i -> Ae_i whose trivial-path
     coefficient is nonzero is an isomorphism on that pair; eliminating it is
-    exact Gaussian elimination at the level of the algebra.
+    exact Gaussian elimination at the level of the algebra.  With d^n split
+    by (that pair, the rest) into [[alpha, beta], [gamma, delta]], the pair
+    leaves x^n and x^{n+1}, d^n becomes delta - gamma alpha^{-1} beta, and
+    d^{n-1} and d^{n+1} keep the rows and the columns of the rest.
     """
-    from .modules import generator_positions
-
     if x.proj_verts is None:
         x, pre = standardize_perfect(x)
     else:
         pre = ChainMap.identity(x)
     algebra = x.algebra
     fld = algebra.field
-    nv = algebra.num_vertices
     cur = x
     total = pre
-    while True:
-        found = None
-        for n in sorted(cur.diffs):
-            sv = cur.proj_verts[n]
-            tv = cur.proj_verts[n + 1]
-            spos = generator_positions(algebra, sv)
-            tpos = generator_positions(algebra, tv)
-            d = cur.diff(n)
-            for g, (i, colg) in enumerate(spos):
-                for gp, (j, rowg) in enumerate(tpos):
-                    if i == j and d.mats[i].data[rowg][colg] != 0:
-                        found = (n, g, gp)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            break
+    while (found := _pivot_pair(cur)) is not None:
         n, g, gp = found
-        sv = cur.proj_verts[n]
-        tv = cur.proj_verts[n + 1]
-        sblocks = _block_indices(algebra, sv)
-        tblocks = _block_indices(algebra, tv)
-        keep_s = [k for k in range(len(sv)) if k != g]
-        keep_t = [k for k in range(len(tv)) if k != gp]
-        srows_a = sblocks[g]
-        srows_b = [sum((sblocks[k][v] for k in keep_s), []) for v in range(nv)]
-        trows_c = tblocks[gp]
-        trows_d = [sum((tblocks[k][v] for k in keep_t), []) for v in range(nv)]
-        d = cur.diff(n)
-        alpha = [_select(d.mats[v], trows_c[v], srows_a[v]) for v in range(nv)]
-        beta = [_select(d.mats[v], trows_c[v], srows_b[v]) for v in range(nv)]
-        gamma = [_select(d.mats[v], trows_d[v], srows_a[v]) for v in range(nv)]
-        delta = [_select(d.mats[v], trows_d[v], srows_b[v]) for v in range(nv)]
-        ainv = []
-        for v in range(nv):
-            inv = solve_matrix(alpha[v], Matrix.identity(fld, alpha[v].rows))
-            if inv is None:
-                raise RuntimeError("expected invertible elimination block")
-            ainv.append(inv)
-        new_sv = tuple(sv[k] for k in keep_s)
-        new_tv = tuple(tv[k] for k in keep_t)
+        sv, tv = cur.proj_verts[n], cur.proj_verts[n + 1]
+        src, tgt = cur.term(n), cur.term(n + 1)
+        new_sv, new_tv = sv[:g] + sv[g + 1 :], tv[:gp] + tv[gp + 1 :]
         new_src, _ = projsum_module(algebra, new_sv)
         new_tgt, _ = projsum_module(algebra, new_tv)
-        new_terms = dict(cur.terms)
-        new_diffs = dict(cur.diffs)
-        new_pv = dict(cur.proj_verts)
-        new_terms[n] = new_src
-        new_terms[n + 1] = new_tgt
-        new_pv[n] = new_sv
-        new_pv[n + 1] = new_tv
-        new_diffs[n] = ModuleMap(
-            new_src,
-            new_tgt,
-            [delta[v] - (gamma[v] @ (ainv[v] @ beta[v])) for v in range(nv)],
-            check=False,
-        )
-        if n - 1 in cur.diffs:
-            dm = cur.diff(n - 1)
-            new_diffs[n - 1] = ModuleMap(
-                dm.source,
-                new_src,
-                [_select(dm.mats[v], srows_b[v], list(range(dm.mats[v].cols))) for v in range(nv)],
-                check=False,
-            )
-        if n + 1 in cur.diffs:
-            dp = cur.diff(n + 1)
-            new_diffs[n + 1] = ModuleMap(
-                new_tgt,
-                dp.target,
-                [_select(dp.mats[v], list(range(dp.mats[v].rows)), trows_d[v]) for v in range(nv)],
-                check=False,
-            )
-        nxt = Complex(algebra, new_terms, new_diffs, proj_verts=new_pv, check=False)
-        # quasi-iso nxt -> cur: [-alpha^{-1} beta; id] at n, [0; id] at n+1
-        comps: Dict[int, ModuleMap] = {}
-        for deg in nxt.terms:
-            if deg == n:
-                mats = []
-                for v in range(nv):
-                    full = Matrix.zeros(fld, cur.term(n).dims[v], new_src.dims[v])
-                    ab = -(ainv[v] @ beta[v])
-                    for r_i, r in enumerate(srows_a[v]):
-                        full.data[r] = ab.data[r_i][:]
-                    for r_i, r in enumerate(srows_b[v]):
-                        for c in range(new_src.dims[v]):
-                            full.data[r][c] = fld.one() if c == r_i else fld.zero()
-                    mats.append(full)
-                comps[deg] = ModuleMap(new_src, cur.term(n), mats, check=False)
-            elif deg == n + 1:
-                mats = []
-                for v in range(nv):
-                    full = Matrix.zeros(fld, cur.term(n + 1).dims[v], new_tgt.dims[v])
-                    for r_i, r in enumerate(trows_d[v]):
-                        full.data[r][r_i] = fld.one()
-                    mats.append(full)
-                comps[deg] = ModuleMap(new_tgt, cur.term(n + 1), mats, check=False)
-            else:
-                comps[deg] = ModuleMap.identity(cur.term(deg))
-        step_map = ChainMap(nxt, cur, comps, check=False)
-        total = total.compose(step_map)
+        ssplit = _split(algebra, sv, g, src.dims)
+        tsplit = _split(algebra, tv, gp, tgt.dims)
+        dn, at_n, at_n1 = [], [], []
+        for d, (a, b), (c, e) in zip(cur.diffs[n].mats, ssplit, tsplit):
+            alpha = d.submatrix(c, a)
+            ainv = solve_matrix(alpha, Matrix.identity(fld, alpha.rows))
+            if ainv is None:
+                raise RuntimeError("expected invertible elimination block")
+            ainv_beta = ainv @ d.submatrix(c, b)
+            dn.append(d.submatrix(e, b) - d.submatrix(e, a) @ ainv_beta)
+            # quasi-iso nxt -> cur: [-alpha^{-1} beta; id] at n, [0; id] at n+1
+            comp = Matrix.identity(fld, d.cols).submatrix(range(d.cols), b)
+            comp.place(a, range(len(b)), -ainv_beta)
+            at_n.append(comp)
+            at_n1.append(Matrix.identity(fld, d.rows).submatrix(range(d.rows), e))
+        diffs = {**cur.diffs, n: ModuleMap(new_src, new_tgt, dn, check=False)}
+        if n - 1 in diffs:
+            dm = diffs[n - 1]
+            mats = [m.submatrix(b, range(m.cols)) for m, (_, b) in zip(dm.mats, ssplit)]
+            diffs[n - 1] = ModuleMap(dm.source, new_src, mats, check=False)
+        if n + 1 in diffs:
+            dp = diffs[n + 1]
+            mats = [m.submatrix(range(m.rows), e) for m, (_, e) in zip(dp.mats, tsplit)]
+            diffs[n + 1] = ModuleMap(new_tgt, dp.target, mats, check=False)
+        terms = {**cur.terms, n: new_src, n + 1: new_tgt}
+        pv = {**cur.proj_verts, n: new_sv, n + 1: new_tv}
+        nxt = Complex(algebra, terms, diffs, proj_verts=pv, check=False)
+        placed = {
+            n: ModuleMap(new_src, src, at_n, check=False),
+            n + 1: ModuleMap(new_tgt, tgt, at_n1, check=False),
+        }
+        comps = {
+            deg: placed[deg] if deg in placed else ModuleMap.identity(t)
+            for deg, t in nxt.terms.items()
+        }
+        total = total.compose(ChainMap(nxt, cur, comps, check=False))
         cur = nxt
     return cur, total
 

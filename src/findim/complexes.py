@@ -298,7 +298,10 @@ def shift(x: Complex, k: int) -> Complex:
 
 
 def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
-    """Degreewise direct sum; the empty sum is the zero complex."""
+    """Degreewise direct sum; the empty sum is the zero complex.
+
+    Every differential matrix is built anew, block diagonal in the summands.
+    """
     for x in xs:
         if x.algebra is not algebra:
             raise ValueError("complexes over different algebras")
@@ -324,41 +327,17 @@ def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
 def cone(f: ChainMap) -> Complex:
     """The mapping cone of f: X -> Y.
 
-    cone^n = Y^n + X^{n+1}, differential [[d_Y, f^{n+1}], [0, -d_X^{n+1}]].
+    cone^n = Y^n + X^{n+1}, differential [[d_Y, f^{n+1}], [0, -d_X^{n+1}]]:
+    the direct sum of Y and shift(X, 1), with f^{n+1} written into the
+    upper-right block of its differential at n.
     """
-    x, y = f.source, f.target
-    alg = x.algebra
-    fld = alg.field
-    nv = alg.num_vertices
-    degs = sorted(set(y.terms) | {n - 1 for n in x.terms})
-    terms: Dict[int, Module] = {}
-    for n in degs:
-        terms[n], _ = direct_sum_modules(alg, [y.term(n), x.term(n + 1)])
-    diffs: Dict[int, ModuleMap] = {}
-    for n in degs:
-        if n + 1 not in terms:
-            continue
-        src, tgt = terms[n], terms[n + 1]
-        dy = y.diff(n)
-        dx = x.diff(n + 1)
-        fc = f.comp(n + 1)
-        mats = []
-        for v in range(nv):
-            top = Matrix.hstack(fld, [dy.mats[v], fc.mats[v]], rows=dy.mats[v].rows)
-            bot = Matrix.hstack(
-                fld,
-                [Matrix.zeros(fld, dx.mats[v].rows, dy.mats[v].cols), -dx.mats[v]],
-                rows=dx.mats[v].rows,
-            )
-            mats.append(Matrix.vstack(fld, [top, bot], cols=src.dims[v]))
-        diffs[n] = ModuleMap(src, tgt, mats, check=False)
-    pv = None
-    if x.proj_verts is not None and y.proj_verts is not None:
-        pv = {
-            n: tuple(y.proj_verts.get(n, ())) + tuple(x.proj_verts.get(n + 1, ()))
-            for n in degs
-        }
-    return Complex(alg, terms, diffs, proj_verts=pv, check=False)
+    y = f.target
+    c = direct_sum(y.algebra, [y, shift(f.source, 1)])
+    for n, fn in f.comps.items():
+        d, left = c.diffs[n - 1].mats, y.term(n - 1).dims
+        for v, block in enumerate(fn.mats):
+            d[v].place(range(block.rows), range(left[v], d[v].cols), block)
+    return c
 
 
 def stupid_truncate(x: Complex, mode: str, k: int) -> Complex:

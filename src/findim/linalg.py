@@ -260,6 +260,24 @@ class Matrix:
     def col(self, j: int) -> List:
         return [self.data[i][j] for i in range(self.rows)]
 
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The entries at these row and column indices, in the order given."""
+        data = []
+        for r in rows:
+            row = self.data[r]
+            data.append([row[c] for c in cols])
+        return Matrix._of(self.field, len(data), len(cols), data)
+
+    def place(self, rows: Sequence[int], cols: Sequence[int], block: "Matrix") -> None:
+        """Write ``block`` into this matrix at these row and column indices.
+
+        Only for a matrix under construction that nothing else holds yet.
+        """
+        for r, brow in zip(rows, block.data):
+            out = self.data[r]
+            for c, e in zip(cols, brow):
+                out[c] = e
+
     def _check_same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -443,14 +461,4 @@ def _invertible_mod_p(rows: Sequence[List[int]], p: int) -> bool:
 def column_space_basis(a: Matrix) -> Matrix:
     """Columns of ``a`` indexed by the pivot columns of its rref."""
     _, pivots = rref(a)
-    return Matrix._of(
-        a.field,
-        a.rows,
-        len(pivots),
-        [[a.data[i][c] for c in pivots] for i in range(a.rows)],
-    )
-
-
-def in_span(basis: Matrix, vec: Sequence) -> bool:
-    """Whether a column vector lies in the span of the columns of ``basis``."""
-    return solve(basis, vec) is not None
+    return a.submatrix(range(a.rows), pivots)

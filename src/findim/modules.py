@@ -186,9 +186,6 @@ class ModuleMap:
             and self.mats == other.mats
         )
 
-    def is_surjective(self) -> bool:
-        return all(rank(m) == m.rows for m in self.mats)
-
     def is_isomorphism(self) -> bool:
         return all(m.rows == m.cols and rank(m) == m.rows for m in self.mats)
 
@@ -366,11 +363,6 @@ def radical_basis(m: Module) -> List[Matrix]:
     return out
 
 
-def top_dims(m: Module) -> List[int]:
-    rad = radical_basis(m)
-    return [m.dims[v] - rad[v].cols for v in range(m.algebra.num_vertices)]
-
-
 def projective_cover(m: Module) -> Tuple[Module, ModuleMap, List[int]]:
     """Minimal projective cover (P, P -> M, vertex list of the summands).
 
@@ -443,35 +435,28 @@ def quotient_module(m: Module, sub: Sequence[Matrix]) -> Tuple[Module, ModuleMap
     """The quotient of m by an arrow-stable per-vertex span, with projection.
 
     Coset representatives are the first standard basis vectors outside the
-    span, so the construction is deterministic.
+    span, so the construction is deterministic.  The projection reads the
+    coordinates of each standard basis vector modulo the span, and an arrow
+    of the quotient is the projection of the arrow's representative columns.
     """
     alg = m.algebra
     f = alg.field
     nv = alg.num_vertices
-    reps: List[Matrix] = []
-    for v in range(nv):
-        chosen = complement_columns(sub[v], Matrix.identity(f, m.dims[v]))
-        rep = Matrix.zeros(f, m.dims[v], len(chosen))
-        for k, c in enumerate(chosen):
-            rep.data[c][k] = f.one()
-        reps.append(rep)
-    dims = [reps[v].cols for v in range(nv)]
-    # projection: coordinates of each standard basis vector modulo the span
+    chosen: List[List[int]] = []
     projs: List[Matrix] = []
     for v in range(nv):
-        basis = Matrix.hstack(f, [sub[v], reps[v]], rows=m.dims[v])
-        sol = solve_matrix(basis, Matrix.identity(f, m.dims[v]))
-        proj = Matrix(
-            f,
-            dims[v],
-            m.dims[v],
-            [sol.data[sub[v].cols + r] for r in range(dims[v])],
-        )
-        projs.append(proj)
+        d, s = m.dims[v], sub[v].cols
+        eye = Matrix.identity(f, d)
+        reps = complement_columns(sub[v], eye)
+        basis = Matrix.hstack(f, [sub[v], eye.submatrix(range(d), reps)], rows=d)
+        sol = solve_matrix(basis, eye)
+        chosen.append(reps)
+        projs.append(sol.submatrix(range(s, s + len(reps)), range(d)))
+    dims = [len(c) for c in chosen]
     mats = {}
     for a in alg.quiver.arrows:
-        i, j = a.source, a.target
-        mats[a.id] = projs[j] @ (m.arrow_mats[a.id] @ reps[i])
+        arrow = m.arrow_mats[a.id]
+        mats[a.id] = projs[a.target] @ arrow.submatrix(range(arrow.rows), chosen[a.source])
     q = Module(alg, dims, mats, check=False)
     return q, ModuleMap(m, q, projs, check=False)
 

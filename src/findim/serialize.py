@@ -59,9 +59,16 @@ def scalar_to_json(field: Field, x):
 
 
 def scalar_from_json(field: Field, v):
+    """An int or an "a/b" string as an element of the field.
+
+    JSON floats and booleans are refused: the arithmetic is exact, and
+    Field.coerce would read 0.5 as 0 over GF(p) and true as 1.
+    """
+    if isinstance(v, (bool, float)):
+        raise ParseError(f"bad scalar {v!r}: expected an integer or an 'a/b' string")
     try:
         return field.coerce(v)
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         raise ParseError(f"bad scalar {v!r}: {e}") from e
 
 

@@ -34,6 +34,7 @@ from findim import (
 from findim.certificates import theorem_samples
 from findim.complexes import induced_cohomology_zero
 from findim.invariants import algebra_complex
+from findim.modules import direct_sum_modules
 from findim.cli import main
 from util import a2, dual_numbers, k_algebra, nakayama3
 
@@ -180,7 +181,8 @@ def test_criterion_6_gldim_bounded_by_inj_dim_of_top():
         ("dual", dual_numbers()),
         ("nakayama3", nakayama3()),
     ):
-        top = algebra.top_module()
+        simples = [algebra.simple(i) for i in range(algebra.num_vertices)]
+        top, _ = direct_sum_modules(algebra, simples)  # A / rad A
         t = inj_dim(top, 8)
         gl = [proj_dim(algebra.simple(i), 8) for i in range(algebra.num_vertices)]
         if t.is_finite:

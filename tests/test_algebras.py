@@ -52,6 +52,15 @@ def test_path_enumeration_budget():
     assert findim.BudgetExceededError is algebras.BudgetExceededError
 
 
+def test_path_enumeration_stops_at_the_first_empty_length():
+    """On an acyclic quiver the path levels end with the longest path,
+    however large max_len is, and the algebra does not depend on it."""
+    q = Quiver(2, [("a", 0, 1)])
+    assert len(algebras._enumerate_paths(q, 10**5)) == 2
+    wide = build_algebra(q, [], GF(2), 10**5)
+    assert wide.basis_by_pair == a2().basis_by_pair
+
+
 def test_commutative_truncated_polynomials_within_budget():
     """k[x,y]/(x^3, y^3) has nilpotency 5, so it is built in the wider window
     of path length 8: 511 paths and a relation matrix of about 0.7M cells."""

@@ -4,8 +4,11 @@ import random
 import pytest
 
 from findim import (
+    GF,
+    QQ,
     BudgetExceededError,
     ChainMap,
+    Complex,
     Matrix,
     ModuleMap,
     amplitude,
@@ -19,6 +22,7 @@ from findim import (
     ghost_pd_oracle,
     null_homotopy,
     proj_dim,
+    random_chain_map,
     random_perfect_complex,
     regularity_check,
     resolve_to_perfect,
@@ -35,9 +39,11 @@ from findim.certificates import (
     minimize_perfect,
 )
 from findim.complexes import Homotopy, cohomology_dims, induced_cohomology_zero, is_acyclic, cone
+from findim.linalg import solve_matrix
+from findim.modules import generator_positions, projsum_module, projsum_offsets
 from findim.serialize import certificate_from_json, certificate_to_json, dumps
 from findim.invariants import hom_support
-from util import a2, dual_numbers, k_algebra, nakayama3
+from util import a2, assert_same_complex, dual_numbers, k_algebra, linear4, nakayama3, same_mats
 
 
 def test_enumeration_counts():
@@ -212,6 +218,143 @@ def test_minimize_perfect_properties():
         assert sum(t.total_dim for t in xmin.terms.values()) <= sum(
             t.total_dim for t in x.terms.values()
         )
+
+
+def _reference_block_indices(algebra, verts):
+    """Per summand, per vertex: the coordinate indices of its block."""
+    offsets = projsum_offsets(algebra, verts)
+    return [
+        [
+            list(range(offsets[k][v], offsets[k][v] + algebra.projective(i).dims[v]))
+            for v in range(algebra.num_vertices)
+        ]
+        for k, i in enumerate(verts)
+    ]
+
+
+def _reference_select(mat, rows, cols):
+    return Matrix(mat.field, len(rows), len(cols), [[mat.data[r][c] for c in cols] for r in rows])
+
+
+def _minimize_perfect_reference(x):
+    """minimize_perfect on a complex with descriptors, every block scattered
+    entry by entry: the same search order and elimination formulas."""
+    algebra = x.algebra
+    fld = algebra.field
+    nv = algebra.num_vertices
+    cur = x
+    total = ChainMap.identity(x)
+    while True:
+        found = None
+        for n in sorted(cur.diffs):
+            tpos = generator_positions(algebra, cur.proj_verts[n + 1])
+            d = cur.diff(n)
+            for g, (i, colg) in enumerate(generator_positions(algebra, cur.proj_verts[n])):
+                for gp, (j, rowg) in enumerate(tpos):
+                    if i == j and d.mats[i].data[rowg][colg] != 0:
+                        found = (n, g, gp)
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found is None:
+            return cur, total
+        n, g, gp = found
+        sv, tv = cur.proj_verts[n], cur.proj_verts[n + 1]
+        sblocks = _reference_block_indices(algebra, sv)
+        tblocks = _reference_block_indices(algebra, tv)
+        keep_s = [k for k in range(len(sv)) if k != g]
+        keep_t = [k for k in range(len(tv)) if k != gp]
+        srows_a = sblocks[g]
+        srows_b = [sum((sblocks[k][v] for k in keep_s), []) for v in range(nv)]
+        trows_c = tblocks[gp]
+        trows_d = [sum((tblocks[k][v] for k in keep_t), []) for v in range(nv)]
+        d = cur.diff(n)
+        alpha = [_reference_select(d.mats[v], trows_c[v], srows_a[v]) for v in range(nv)]
+        beta = [_reference_select(d.mats[v], trows_c[v], srows_b[v]) for v in range(nv)]
+        gamma = [_reference_select(d.mats[v], trows_d[v], srows_a[v]) for v in range(nv)]
+        delta = [_reference_select(d.mats[v], trows_d[v], srows_b[v]) for v in range(nv)]
+        ainv = [solve_matrix(alpha[v], Matrix.identity(fld, alpha[v].rows)) for v in range(nv)]
+        new_sv = tuple(sv[k] for k in keep_s)
+        new_tv = tuple(tv[k] for k in keep_t)
+        new_src, _ = projsum_module(algebra, new_sv)
+        new_tgt, _ = projsum_module(algebra, new_tv)
+        terms, diffs, pv = dict(cur.terms), dict(cur.diffs), dict(cur.proj_verts)
+        terms[n], terms[n + 1] = new_src, new_tgt
+        pv[n], pv[n + 1] = new_sv, new_tv
+        diffs[n] = ModuleMap(
+            new_src,
+            new_tgt,
+            [delta[v] - (gamma[v] @ (ainv[v] @ beta[v])) for v in range(nv)],
+            check=False,
+        )
+        if n - 1 in cur.diffs:
+            dm = cur.diff(n - 1)
+            mats = [
+                _reference_select(dm.mats[v], srows_b[v], list(range(dm.mats[v].cols)))
+                for v in range(nv)
+            ]
+            diffs[n - 1] = ModuleMap(dm.source, new_src, mats, check=False)
+        if n + 1 in cur.diffs:
+            dp = cur.diff(n + 1)
+            mats = [
+                _reference_select(dp.mats[v], list(range(dp.mats[v].rows)), trows_d[v])
+                for v in range(nv)
+            ]
+            diffs[n + 1] = ModuleMap(new_tgt, dp.target, mats, check=False)
+        nxt = Complex(algebra, terms, diffs, proj_verts=pv, check=False)
+        comps = {}
+        for deg in nxt.terms:
+            if deg == n:
+                mats = []
+                for v in range(nv):
+                    full = Matrix.zeros(fld, cur.term(n).dims[v], new_src.dims[v])
+                    ab = -(ainv[v] @ beta[v])
+                    for r_i, r in enumerate(srows_a[v]):
+                        full.data[r] = ab.data[r_i][:]
+                    for r_i, r in enumerate(srows_b[v]):
+                        for c in range(new_src.dims[v]):
+                            full.data[r][c] = fld.one() if c == r_i else fld.zero()
+                    mats.append(full)
+                comps[deg] = ModuleMap(new_src, cur.term(n), mats, check=False)
+            elif deg == n + 1:
+                mats = []
+                for v in range(nv):
+                    full = Matrix.zeros(fld, cur.term(n + 1).dims[v], new_tgt.dims[v])
+                    for r_i, r in enumerate(trows_d[v]):
+                        full.data[r][r_i] = fld.one()
+                    mats.append(full)
+                comps[deg] = ModuleMap(new_tgt, cur.term(n + 1), mats, check=False)
+            else:
+                comps[deg] = ModuleMap.identity(cur.term(deg))
+        total = total.compose(ChainMap(nxt, cur, comps, check=False))
+        cur = nxt
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3, linear4], ids=lambda b: b.__name__)
+def test_minimize_perfect_matches_reference(build, field):
+    """Same minimal model and the same comparison map, component for
+    component, on random complexes, random cones, and their sums with the
+    contractible cone of an identity, where eliminations must happen."""
+    alg = build(field)
+    rng = random.Random(19)
+    eliminated = 0
+    for _ in range(4):
+        x = random_perfect_complex(alg, rng)
+        c = cone(random_chain_map(x, random_perfect_complex(alg, rng), rng))
+        for z in (x, c) + tuple(direct_sum(alg, [w, cone(ChainMap.identity(w))]) for w in (x, c)):
+            got, gq = minimize_perfect(z)
+            ref, rq = _minimize_perfect_reference(z)
+            assert_same_complex(got, ref)
+            assert gq.source is got and gq.target is z
+            assert list(gq.comps) == list(rq.comps)
+            for n, f in rq.comps.items():
+                same_mats(gq.comps[n].mats, f.mats)
+            eliminated += sum(t.total_dim for t in z.terms.values())
+            eliminated -= sum(t.total_dim for t in got.terms.values())
+    assert eliminated
 
 
 def test_certificate_for_hom_p_levels():

@@ -1,5 +1,8 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -60,6 +63,21 @@ def test_field_flag_override(capsys):
         ["invariants", "a2.json", '{"terms": {"0": {"proj": [1]}}}'],
         ["invariants", "a2.json", '{"terms": {"0": {"proj": [1, 0]}}, "differentials": {"0": 5}}'],
         ["pd", "a2.json", '{"dim_vector": [1, 1], "arrows": {"a": [1]}}'],
+        ["pd", "a2.json", '{"dim_vector": [1, 1], "arrows": {"a": [[0.5]]}}'],
+        ["pd", "a2.json", '{"dim_vector": [1, 1], "arrows": {"a": [[true]]}}'],
+        ["pd", "a2.json", '{"dim_vector": [1, 1], "arrows": {"a": [["1/0"]]}}'],
+        [
+            "pd",
+            '{"field": "Q", "vertices": 1, "arrows": [{"id": "x", "from": 0, "to": 0}], '
+            '"relations": [[{"coeff": 0.5, "path": ["x", "x"]}]], "max_len": 3}',
+            '{"dim_vector": [1], "arrows": {"x": [[0]]}}',
+        ],
+        [
+            "pd",
+            '{"field": "Q", "vertices": 1, "arrows": [{"id": "x", "from": 0, "to": 0}], '
+            '"relations": [[{"coeff": "1/0", "path": ["x", "x"]}]], "max_len": 3}',
+            '{"dim_vector": [1], "arrows": {"x": [[0]]}}',
+        ],
         [
             "invariants",
             "a2.json",
@@ -95,6 +113,30 @@ def test_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_huge_max_len_on_an_acyclic_quiver(tmp_path):
+    """max_len 10^9 on a2, whose paths end at length 1, answers at once.
+    It runs in a child process under a 1 GiB address-space limit and a
+    timeout, so a path list that grows with max_len fails this test
+    instead of taking the memory of the test runner."""
+    with open(data("a2.json")) as fh:
+        doc = json.load(fh)
+    doc["max_len"] = 10**9
+    alg = tmp_path / "a2_huge.json"
+    alg.write_text(json.dumps(doc))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "findim.cli", "pd", str(alg), data("a2_s0.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Finite(1)" in proc.stdout
 
 
 def test_findim_report_and_exit(tmp_path, capsys):

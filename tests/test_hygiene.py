@@ -1,9 +1,12 @@
-"""Static hygiene of the library source: no unused imports.
+"""Static hygiene of the library source: no unused imports and no unused
+private helpers.
 
 A stdlib ``ast`` scan of every module in src/findim except the package
 ``__init__.py``, whose imports are its re-exports.  An imported name counts
 as used when it appears as a name anywhere in the module, including inside
-string annotations.
+string annotations.  A private module-level function or class (one name
+with a single leading underscore) counts as used when some module of the
+package names it, as a name or an attribute, outside its own definition.
 """
 
 import ast
@@ -59,3 +62,40 @@ def test_no_unused_imports():
             for line, name in unused_imports(os.path.join(SRC, fname)):
                 found.append(f"src/findim/{fname}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _sources():
+    return sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+
+
+def unreferenced_private_helpers():
+    """(file, line, name) for each private module-level function or class
+    that nothing in src/findim refers to beyond its own definition."""
+    trees = {}
+    for fname in _sources():
+        path = os.path.join(SRC, fname)
+        with open(path) as fh:
+            trees[fname] = ast.parse(fh.read(), filename=path)
+    refs = {}  # name -> ids of the Name and Attribute nodes carrying it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(id(node))
+    out = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if all(i in inside for i in refs.get(node.name, ())):
+                out.append((fname, node.lineno, node.name))
+    return out
+
+
+def test_no_unreferenced_private_helpers():
+    found = [f"src/findim/{f}:{line}: {name}" for f, line, name in unreferenced_private_helpers()]
+    assert not found, "private helpers nothing refers to:\n" + "\n".join(found)

@@ -21,7 +21,7 @@ from findim import (
     random_module,
     syzygy,
 )
-from findim.linalg import rank, solve_matrix
+from findim.linalg import complement_columns, rank, solve_matrix
 from findim.modules import (
     direct_sum_modules,
     kernel_of,
@@ -32,10 +32,13 @@ from findim.modules import (
     radical_basis,
     resolution_steps,
     submodule_closure,
-    top_dims,
     yoneda_coordinates,
 )
-from util import a2, dual_numbers, k_algebra, nakayama3
+from util import a2, dual_numbers, k_algebra, linear4, nakayama3, same_mats
+
+
+def _surjective(f):
+    return all(rank(m) == m.rows for m in f.mats)
 
 
 def test_module_relation_check():
@@ -58,7 +61,7 @@ def test_module_map_composition_and_kernel():
     a = a2()
     p0, s0 = a.projective(0), a.simple(0)
     (f,) = hom_space(p0, s0)
-    assert f.is_surjective()
+    assert _surjective(f)
     k = syzygy(s0)
     assert k.dims == [0, 1]  # the radical of P0, i.e. P1
 
@@ -66,10 +69,10 @@ def test_module_map_composition_and_kernel():
 def test_projective_cover_top():
     a = nakayama3()
     p0 = a.projective(0)
-    assert top_dims(p0) == [1, 0, 0]
+    assert [d - r.cols for d, r in zip(p0.dims, radical_basis(p0))] == [1, 0, 0]
     cover, cmap, verts = projective_cover(a.simple(0))
     assert verts == [0]
-    assert cmap.is_surjective()
+    assert _surjective(cmap)
 
 
 def test_proj_dim_a2():
@@ -140,8 +143,59 @@ def test_quotient_module():
     sub = submodule_closure(p, rad)
     q, proj = quotient_module(p, sub)
     assert q.dims == [1]
-    assert proj.is_surjective()
+    assert _surjective(proj)
     assert modules_isomorphic(q, a.simple(0)) is True
+
+
+def _quotient_module_reference(m, sub):
+    """quotient_module with unit-vector coset representatives, each arrow
+    multiplied by them."""
+    alg = m.algebra
+    f = alg.field
+    nv = alg.num_vertices
+    reps = []
+    for v in range(nv):
+        chosen = complement_columns(sub[v], Matrix.identity(f, m.dims[v]))
+        rep = Matrix.zeros(f, m.dims[v], len(chosen))
+        for k, c in enumerate(chosen):
+            rep.data[c][k] = f.one()
+        reps.append(rep)
+    dims = [reps[v].cols for v in range(nv)]
+    projs = []
+    for v in range(nv):
+        basis = Matrix.hstack(f, [sub[v], reps[v]], rows=m.dims[v])
+        sol = solve_matrix(basis, Matrix.identity(f, m.dims[v]))
+        projs.append(Matrix(f, dims[v], m.dims[v], [sol.data[sub[v].cols + r] for r in range(dims[v])]))
+    mats = {}
+    for a in alg.quiver.arrows:
+        mats[a.id] = projs[a.target] @ (m.arrow_mats[a.id] @ reps[a.source])
+    q = Module(alg, dims, mats, check=False)
+    return q, ModuleMap(m, q, projs, check=False)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3, linear4], ids=lambda b: b.__name__)
+def test_quotient_module_matches_reference(build, field):
+    """Same dims, arrows and projection, entry for entry and type for type,
+    on the submodules generated by random vectors of random modules."""
+    alg = build(field)
+    rng = random.Random(23)
+    proper = 0
+    for _ in range(12):
+        m = random_module(alg, rng, max_gens=3)
+        gens = []
+        for d in m.dims:
+            k = rng.randrange(3)
+            gens.append(Matrix(field, d, k, [[rng.randrange(3) for _ in range(k)] for _ in range(d)]))
+        sub = submodule_closure(m, gens)
+        q, proj = quotient_module(m, sub)
+        ref, rproj = _quotient_module_reference(m, sub)
+        assert q.dims == ref.dims
+        arrows = [a.id for a in alg.quiver.arrows]
+        same_mats([q.arrow_mats[a] for a in arrows], [ref.arrow_mats[a] for a in arrows])
+        same_mats(proj.mats, rproj.mats)
+        proper += 0 < q.total_dim < m.total_dim
+    assert proper
 
 
 def test_modules_isomorphic_negative():

@@ -1,4 +1,5 @@
-"""Shared builders for the algebras used across the test suite."""
+"""Shared builders for the algebras used across the test suite, and an
+entry-for-entry comparison of complexes."""
 
 from findim import GF, QQ, Quiver, Relation, build_algebra
 
@@ -31,3 +32,29 @@ def nakayama3(field=None):
         Relation(q, [(1, ["a2", "a0"])]),
     ]
     return build_algebra(q, rels, field or GF(2), 4)
+
+
+def linear4(field=None):
+    """The linear quiver 0 -> 1 -> 2 -> 3 with rad^2 = 0 (gl.dim 3)."""
+    q = Quiver(4, [("a0", 0, 1), ("a1", 1, 2), ("a2", 2, 3)])
+    rels = [Relation(q, [(1, ["a0", "a1"])]), Relation(q, [(1, ["a1", "a2"])])]
+    return build_algebra(q, rels, field or GF(2), 3)
+
+
+def same_mats(got, ref):
+    """Two lists of matrices with the same shapes and entries, type for type."""
+    assert [(m.rows, m.cols) for m in got] == [(m.rows, m.cols) for m in ref]
+    for g, r in zip(got, ref):
+        assert g.data == r.data
+        assert [[type(e) for e in row] for row in g.data] == [[type(e) for e in row] for row in r.data]
+
+
+def assert_same_complex(got, ref):
+    """Equal terms, descriptors and differentials, degree for degree."""
+    assert list(got.terms) == list(ref.terms)
+    assert got.proj_verts == ref.proj_verts
+    assert list(got.diffs) == list(ref.diffs)
+    for n, t in ref.terms.items():
+        assert got.terms[n] == t
+    for n, d in ref.diffs.items():
+        same_mats(got.diffs[n].mats, d.mats)
