@@ -138,6 +138,8 @@ class FDAlgebra:
             self.basis_by_pair.setdefault((p[0], self.path_target(p)), []).append(k)
         self._mult_cache: Dict[Tuple[int, int], Dict[int, object]] = {}
         self._proj_cache: Dict[int, Module] = {}
+        # vertex tuple -> (projective sum, per-summand offsets), see projsum_module
+        self._projsum_cache: Dict[Tuple[int, ...], Tuple[Module, List[List[int]]]] = {}
         self._zero_module: Optional[Module] = None
         self._opposite: Optional[FDAlgebra] = None
 
@@ -271,6 +273,8 @@ class FDAlgebra:
 def _enumerate_paths(quiver: Quiver, max_len: int) -> List[List[Path]]:
     """The paths of length <= max_len, one list per length, ending at the
     last nonempty length: once a length has no paths, no longer one has."""
+    if quiver.num_vertices > MAX_PATHS:
+        raise BudgetExceededError(f"more than the budget of {MAX_PATHS} paths of length 0")
     by_len: List[List[Path]] = [[(v, ()) for v in range(quiver.num_vertices)]]
     total = quiver.num_vertices
     for _ in range(max_len):

@@ -51,7 +51,8 @@ class Complex:
     Complexes, like modules, are not edited after construction: their
     terms, differentials and descriptors are shared by the complexes built
     from them, and answers computed from a complex are remembered on it.
-    `cohomology(x, n)` remembers its module per degree on x, and
+    `cohomology(x, n)` remembers its module per degree on x,
+    `cohomology_dims(x)` its dimensions, and
     `invariants.hom_support(x, y)` remembers the Hom-support on the source
     x per target object y, holding y only weakly.
     """
@@ -130,7 +131,14 @@ class Complex:
         for n in self.terms:
             if self.terms[n] != other.terms[n]:
                 return False
-            if self.diff(n) != other.diff(n):
+            a, b = self.diffs.get(n), other.diffs.get(n)
+            if a is None and b is None:
+                continue
+            if a is None or b is None:
+                # a missing differential is zero
+                if not (b if a is None else a).is_zero():
+                    return False
+            elif a != b:
                 return False
         return True
 
@@ -300,27 +308,47 @@ def shift(x: Complex, k: int) -> Complex:
 def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
     """Degreewise direct sum; the empty sum is the zero complex.
 
-    Every differential matrix is built anew, block diagonal in the summands.
+    When every summand carries descriptors, the term in degree n is the
+    standard projective sum of the concatenated descriptors, taken from
+    `projsum_module`.  Every differential matrix is new, block diagonal in
+    the summands: each row of a summand's block is written into place
+    between zeros, and a summand with no differential in that degree
+    contributes zero rows.
     """
     for x in xs:
         if x.algebra is not algebra:
             raise ValueError("complexes over different algebras")
+    fld = algebra.field
+    zero = fld.zero()
     degs = sorted({n for x in xs for n in x.terms})
     terms: Dict[int, Module] = {}
-    diffs: Dict[int, ModuleMap] = {}
-    for n in degs:
-        terms[n], _ = direct_sum_modules(algebra, [x.term(n) for x in xs])
-    for n in degs:
-        if n + 1 in terms:
-            src, tgt = terms[n], terms[n + 1]
-            mats = [
-                Matrix.block_diag(algebra.field, [x.diff(n).mats[v] for x in xs])
-                for v in range(algebra.num_vertices)
-            ]
-            diffs[n] = ModuleMap(src, tgt, mats, check=False)
     pv = None
     if all(x.proj_verts is not None for x in xs):
         pv = {n: sum((tuple(x.proj_verts.get(n, ())) for x in xs), ()) for n in degs}
+        for n in degs:
+            terms[n], _ = projsum_module(algebra, pv[n])
+    else:
+        for n in degs:
+            terms[n], _ = direct_sum_modules(algebra, [x.term(n) for x in xs])
+    diffs: Dict[int, ModuleMap] = {}
+    for n in degs:
+        if n + 1 not in terms:
+            continue
+        src, tgt = terms[n], terms[n + 1]
+        parts = [(x.diffs.get(n), x.term(n).dims, x.term(n + 1).dims) for x in xs]
+        mats = []
+        for v, width in enumerate(src.dims):
+            data = []
+            c0 = 0
+            for d, sdims, tdims in parts:
+                if d is None:
+                    data.extend([zero] * width for _ in range(tdims[v]))
+                else:
+                    left, right = [zero] * c0, [zero] * (width - c0 - sdims[v])
+                    data.extend(left + row + right for row in d.mats[v].data)
+                c0 += sdims[v]
+            mats.append(Matrix._of(fld, tgt.dims[v], width, data))
+        diffs[n] = ModuleMap(src, tgt, mats, check=False)
     return Complex(algebra, terms, diffs, proj_verts=pv, check=False)
 
 
@@ -360,14 +388,20 @@ def stupid_truncate(x: Complex, mode: str, k: int) -> Complex:
 
 def cohomology_dims(x: Complex) -> Dict[int, int]:
     """Total dimension of H^n for every degree: dim x^n - rank d^n -
-    rank d^{n-1}, each rank summed over the vertices and computed once."""
-    ranks = {n: sum(rank(m) for m in d.mats) for n, d in x.diffs.items()}
-    out: Dict[int, int] = {}
-    for n in x.support:
-        total = x.terms[n].total_dim - ranks.get(n, 0) - ranks.get(n - 1, 0)
-        if total:
-            out[n] = total
-    return out
+    rank d^{n-1}, each rank summed over the vertices and computed once.
+
+    The answer is remembered on x; each call returns a new dict.
+    """
+    memo = getattr(x, "_cohomology_dims", None)
+    if memo is None:
+        ranks = {n: sum(rank(m) for m in d.mats) for n, d in x.diffs.items()}
+        memo = {}
+        for n in x.support:
+            total = x.terms[n].total_dim - ranks.get(n, 0) - ranks.get(n - 1, 0)
+            if total:
+                memo[n] = total
+        x._cohomology_dims = memo
+    return dict(memo)
 
 
 def is_acyclic(x: Complex) -> bool:

@@ -9,12 +9,14 @@ Invariant: a ``Matrix`` holds canonical field elements (those two kinds
 only) in row lists that belong to it alone.  The public constructor
 ``Matrix(field, rows, cols, data)`` establishes this for any input: it
 checks the shape, coerces every entry and copies every row.  Results built
-inside this module go through the private ``Matrix._of`` instead, which
-checks and copies nothing: it trusts that its data already holds canonical
-elements in freshly built rows, and takes ownership of them.  Over GF(p)
-the inner loops work on plain ints and reduce once per entry per row
-operation (once per output entry in a product), the delayed reduction of
-FFLAS-FFPACK; over Q they use the same loops with ``Fraction`` arithmetic.
+inside the library from canonical elements (here, and in the Hom
+complexes and direct sums of ``complexes``) go through the private
+``Matrix._of`` instead, which checks and copies nothing: it trusts that
+its data already holds canonical elements in freshly built rows, and
+takes ownership of them.  Over GF(p) the inner loops work on plain ints
+and reduce once per entry per row operation (once per output entry in a
+product), the delayed reduction of FFLAS-FFPACK; over Q they use the same
+loops with ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations

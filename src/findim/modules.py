@@ -271,8 +271,20 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
 
 
 def projsum_module(algebra, verts: Sequence[int]) -> Tuple[Module, List[List[int]]]:
-    """The module Ae_{i1} + ... + Ae_{ik} with per-summand fiber offsets."""
-    return direct_sum_modules(algebra, [algebra.projective(i) for i in verts])
+    """The module Ae_{i1} + ... + Ae_{ik} with per-summand fiber offsets.
+
+    The module is built once per (algebra, vertex tuple) and remembered on
+    the algebra, shared by every caller like `algebra.projective(i)`, so it
+    must not be edited; the offset lists are new on every call.
+    """
+    key = tuple(verts)
+    entry = algebra._projsum_cache.get(key)
+    if entry is None:
+        entry = algebra._projsum_cache[key] = direct_sum_modules(
+            algebra, [algebra.projective(i) for i in key]
+        )
+    mod, offsets = entry
+    return mod, [o[:] for o in offsets]
 
 
 def _trivial_path_pos(algebra, i: int) -> int:

@@ -19,8 +19,10 @@ as plain ints):
     {"cone": {"u": i, "v": j, "map": chain-map}, "object": complex}
     {"retract": {"z": i, "p": m, "s": m, "h": m}, "object": complex}
 
-`dumps` is canonical (sorted keys, fixed separators), so identical data
-always produces byte-identical files.
+Every other number (vertex counts and indices, max_len, gfp, dimension
+vectors, multiplicities, certificate integers) is a JSON integer; degree
+keys are strings.  `dumps` is canonical (sorted keys, fixed separators),
+so identical data always produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 from typing import Dict, List
 
 from .linalg import GF, QQ, Field, Matrix
-from .algebras import FDAlgebra, Quiver, Relation, build_algebra
+from .algebras import BudgetExceededError, FDAlgebra, Quiver, Relation, build_algebra
 from .modules import Module, ModuleMap, projsum_module
 from .complexes import ChainMap, Complex, Homotopy
 from .certificates import (
@@ -43,6 +45,30 @@ from .certificates import (
 
 class ParseError(ValueError):
     """An input document does not match its schema."""
+
+
+# Size budget of a module read from a document, "proj" terms included: the
+# cells of its arrow matrices and of one square matrix per fiber, checked
+# from the dimension vector before anything is allocated.
+MAX_MODULE_CELLS = 2**22
+
+
+def _int(v, what: str) -> int:
+    """A JSON integer; floats, booleans and strings are refused."""
+    if type(v) is not int:
+        raise ParseError(f"bad {what} {v!r}: expected an integer")
+    return v
+
+
+def _check_module_size(algebra: FDAlgebra, dims: List[int]) -> None:
+    cells = sum(d * d for d in dims) + sum(
+        dims[a.target] * dims[a.source] for a in algebra.quiver.arrows
+    )
+    if cells > MAX_MODULE_CELLS:
+        raise BudgetExceededError(
+            f"a module of dimension vector {dims} needs {cells} matrix cells, "
+            f"more than the budget of {MAX_MODULE_CELLS}"
+        )
 
 
 def dumps(obj) -> str:
@@ -99,7 +125,7 @@ def field_from_json(doc) -> Field:
         return QQ
     if isinstance(doc, dict) and "gfp" in doc:
         try:
-            return GF(int(doc["gfp"]))
+            return GF(_int(doc["gfp"], '"gfp"'))
         except ValueError as e:
             raise ParseError(str(e)) from e
     raise ParseError(f"bad field descriptor {doc!r}")
@@ -130,8 +156,11 @@ def algebra_from_json(doc: dict) -> FDAlgebra:
     try:
         field = field_from_json(doc["field"])
         quiver = Quiver(
-            int(doc["vertices"]),
-            [(ar["id"], int(ar["from"]), int(ar["to"])) for ar in doc.get("arrows", [])],
+            _int(doc["vertices"], '"vertices"'),
+            [
+                (ar["id"], _int(ar["from"], 'arrow "from"'), _int(ar["to"], 'arrow "to"'))
+                for ar in doc.get("arrows", [])
+            ],
         )
         relations = [
             Relation(
@@ -143,7 +172,7 @@ def algebra_from_json(doc: dict) -> FDAlgebra:
             )
             for rel in doc.get("relations", [])
         ]
-        return build_algebra(quiver, relations, field, int(doc["max_len"]))
+        return build_algebra(quiver, relations, field, _int(doc["max_len"], '"max_len"'))
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise
@@ -164,11 +193,14 @@ def module_to_json(m: Module) -> dict:
 
 def module_from_json(algebra: FDAlgebra, doc: dict) -> Module:
     try:
-        dims = [int(d) for d in doc["dim_vector"]]
-    except (KeyError, TypeError, ValueError) as e:
+        dims = [_int(d, "dim_vector entry") for d in doc["dim_vector"]]
+    except (KeyError, TypeError) as e:
         raise ParseError(f"bad module document: {e}") from e
-    if len(dims) != algebra.num_vertices:
-        raise ParseError("dim_vector length does not match the algebra")
+    if len(dims) != algebra.num_vertices or any(d < 0 for d in dims):
+        raise ParseError(
+            f"bad dim_vector {dims}: expected {algebra.num_vertices} non-negative integers"
+        )
+    _check_module_size(algebra, dims)
     arrows_doc = doc.get("arrows", {})
     if not isinstance(arrows_doc, dict):
         raise ParseError(f"bad module document: arrows must be an object, got {arrows_doc!r}")
@@ -191,15 +223,22 @@ def module_from_json(algebra: FDAlgebra, doc: dict) -> Module:
 # -- complexes ---------------------------------------------------------------
 
 
-def _mults_to_verts(mults: List[int], num_vertices: int):
+def _mults_to_verts(algebra: FDAlgebra, mults: List[int]):
+    nv = algebra.num_vertices
     if not (
         isinstance(mults, list)
-        and len(mults) == num_vertices
+        and len(mults) == nv
         and all(type(k) is int and k >= 0 for k in mults)
     ):
         raise ParseError(
-            f'bad "proj" multiplicities {mults!r}: expected {num_vertices} non-negative integers'
+            f'bad "proj" multiplicities {mults!r}: expected {nv} non-negative integers'
         )
+    # the fiber of Ae_i at v has one basis vector per path class i -> v
+    dims = [
+        sum(k * len(algebra.basis_by_pair.get((i, v), ())) for i, k in enumerate(mults))
+        for v in range(nv)
+    ]
+    _check_module_size(algebra, dims)
     verts = []
     for v, k in enumerate(mults):
         verts.extend([v] * k)
@@ -248,7 +287,7 @@ def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
         for key, tdoc in doc["terms"].items():
             n = int(key)
             if isinstance(tdoc, dict) and "proj" in tdoc:
-                verts = _mults_to_verts(tdoc["proj"], algebra.num_vertices)
+                verts = _mults_to_verts(algebra, tdoc["proj"])
                 terms[n], _ = projsum_module(algebra, verts)
                 pv[n] = verts
             else:
@@ -375,15 +414,22 @@ def certificate_from_json(
         zero = Complex(algebra, {}, {}, proj_verts={}, check=False)
         for idx, entry in enumerate(doc["steps"]):
             obj = complex_from_json(algebra, entry["object"])
-            level = int(entry["level"])
+            level = _int(entry["level"], "step level")
             if "leaf" in entry:
+                leaf = entry["leaf"]
                 steps.append(
-                    LeafStep(int(entry["leaf"]["summand"]), int(entry["leaf"]["shift"]), obj, level)
+                    LeafStep(
+                        _int(leaf["summand"], "leaf summand"),
+                        _int(leaf["shift"], "leaf shift"),
+                        obj,
+                        level,
+                    )
                 )
             elif "sum" in entry:
-                steps.append(SumStep([int(j) for j in entry["sum"]], obj, level))
+                steps.append(SumStep([_int(j, "sum part") for j in entry["sum"]], obj, level))
             elif "cone" in entry:
-                u, v = int(entry["cone"]["u"]), int(entry["cone"]["v"])
+                u = _int(entry["cone"]["u"], "cone reference")
+                v = _int(entry["cone"]["v"], "cone reference")
                 if not (0 <= u < idx and 0 <= v < idx):
                     raise ParseError(f"step {idx}: cone reference out of range")
                 cm = chain_map_from_json(
@@ -391,7 +437,7 @@ def certificate_from_json(
                 )
                 steps.append(ConeStep(u, v, cm, obj, level))
             elif "retract" in entry:
-                z = int(entry["retract"]["z"])
+                z = _int(entry["retract"]["z"], "retract reference")
                 if not (0 <= z < idx):
                     raise ParseError(f"step {idx}: retract reference out of range")
                 p = chain_map_from_json(steps[z].obj, obj, entry["retract"]["p"], check=False)
@@ -404,7 +450,9 @@ def certificate_from_json(
         if target is None:
             target = complex_from_json(algebra, doc["target"])
         compare = chain_map_from_json(final, target, doc["compare"], check=False)
-        return ThickCertificate(str(doc["generator"]), steps, int(doc["level"]), compare)
+        return ThickCertificate(
+            str(doc["generator"]), steps, _int(doc["level"], "certificate level"), compare
+        )
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise

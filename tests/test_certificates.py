@@ -41,7 +41,7 @@ from findim.certificates import (
 from findim.complexes import Homotopy, cohomology_dims, induced_cohomology_zero, is_acyclic, cone
 from findim.linalg import solve_matrix
 from findim.modules import generator_positions, projsum_module, projsum_offsets
-from findim.serialize import certificate_from_json, certificate_to_json, dumps
+from findim.serialize import ParseError, certificate_from_json, certificate_to_json, dumps
 from findim.invariants import hom_support
 from util import a2, assert_same_complex, dual_numbers, k_algebra, linear4, nakayama3, same_mats
 
@@ -190,6 +190,44 @@ def test_retract_certificate_verifies_and_roundtrips(build):
     back = certificate_from_json(a, doc)
     assert verify_certificate(back, target, a).ok
     assert certificate_to_json(back, target) == doc
+
+
+def _resolution_cert(a):
+    """Leaves, sums and a cone: the certificate of the simple S_0."""
+    return certificate_from_resolution(a.simple(0), 5)
+
+
+def _integer_fields(doc):
+    """(container, key) of every integer field of a certificate document."""
+    out = [(doc, "level")]
+    for step in doc["steps"]:
+        out.append((step, "level"))
+        if "leaf" in step:
+            out += [(step["leaf"], "summand"), (step["leaf"], "shift")]
+        elif "sum" in step:
+            out += [(step["sum"], j) for j in range(len(step["sum"]))]
+        elif "cone" in step:
+            out += [(step["cone"], "u"), (step["cone"], "v")]
+        else:
+            out.append((step["retract"], "z"))
+    return out
+
+
+@pytest.mark.parametrize("build", [_resolution_cert, _leaf_off_sum, _cone_through_zero])
+def test_certificate_integers_must_be_json_integers(build):
+    """Each integer field as a float, a string or a boolean is a parse
+    error, where int() used to read it."""
+    a = a2()
+    cert = build(a)
+    text = dumps(certificate_to_json(cert, cert.compare.target))
+    assert certificate_from_json(a, json.loads(text)).level == cert.level
+    for k in range(len(_integer_fields(json.loads(text)))):
+        for bad in (float, str, bool):
+            doc = json.loads(text)
+            where, key = _integer_fields(doc)[k]
+            where[key] = bad(where[key])
+            with pytest.raises(ParseError, match="expected an integer"):
+                certificate_from_json(a, doc)
 
 
 def test_retract_certificate_tampering_names_the_step():

@@ -9,6 +9,7 @@ import pytest
 
 import findim.certificates
 import findim.cli
+import findim.complexes
 import findim.serialize
 from findim import certificate_from_resolution, resolve_to_perfect, stalk_complex
 from findim.cli import main
@@ -42,6 +43,36 @@ def test_parse_error_exit_2(tmp_path, capsys):
 def test_field_flag_override(capsys):
     assert main(["pd", data("a2.json"), data("a2_s0.json"), "--field", "gfp:5"]) == 0
     assert main(["pd", data("a2.json"), data("a2_s0.json"), "--field", "bogus"]) == 2
+
+
+def _paths(argv, tmp_path):
+    """Arguments ending in .json name files in data/; arguments starting
+    with '{' are documents, written to a file first."""
+
+    def path(arg, k):
+        if arg.startswith("{"):
+            doc = tmp_path / f"doc{k}.json"
+            doc.write_text(arg)
+            return str(doc)
+        return data(arg) if arg.endswith(".json") else arg
+
+    return [path(a, k) for k, a in enumerate(argv)]
+
+
+def _a2(arrow=None, **fields):
+    """data/a2.json as a document, with these fields and arrow fields replaced."""
+    a = dict({"id": "a", "from": 0, "to": 1}, **(arrow or {}))
+    doc = {"field": {"gfp": 2}, "vertices": 2, "arrows": [a], "relations": [], "max_len": 4}
+    return json.dumps(dict(doc, **fields))
+
+
+def _leaf_cert(leaf=None, **fields):
+    """A certificate of P_0 in degree 0 as one leaf, which verifies as it
+    stands, with these fields and leaf fields replaced."""
+    p0 = {"terms": {"0": {"proj": [1, 0]}}}
+    step = {"leaf": dict({"summand": 0, "shift": 0}, **(leaf or {})), "object": p0, "level": 1}
+    doc = {"generator": "A", "level": 1, "steps": [step], "compare": {"0": [[[1]], [[1]]]}, "target": p0}
+    return json.dumps(dict(doc, **fields))
 
 
 @pytest.mark.parametrize(
@@ -88,6 +119,19 @@ def test_field_flag_override(capsys):
             "a2.json",
             '{"generator": "A", "level": 0, "steps": [], "compare": [], "target": {"terms": {}}}',
         ],
+        ["pd", _a2(vertices=2.9, max_len=4.9), "a2_s0.json"],
+        ["pd", _a2(vertices="2"), "a2_s0.json"],
+        ["pd", _a2(vertices=True, arrows=[]), '{"dim_vector": [1]}'],
+        ["pd", _a2(arrow={"from": 0.0}), "a2_s0.json"],
+        ["pd", _a2(arrow={"to": "1"}), "a2_s0.json"],
+        ["pd", _a2(max_len="4"), "a2_s0.json"],
+        ["pd", _a2(field={"gfp": 2.0}), "a2_s0.json"],
+        ["pd", _a2(field={"gfp": "2"}), "a2_s0.json"],
+        ["pd", "a2.json", '{"dim_vector": [1.0, 0]}'],
+        ["pd", "a2.json", '{"dim_vector": [true, 0]}'],
+        ["pd", "a2.json", '{"dim_vector": ["1", 0]}'],
+        ["verify-certificate", "a2.json", _leaf_cert(level=1.0)],
+        ["verify-certificate", "a2.json", _leaf_cert(leaf={"summand": "0"})],
         [
             "verify-certificate",
             "a2.json",
@@ -95,48 +139,72 @@ def test_field_flag_override(capsys):
             '"object": {"terms": {"0": {"proj": [1, 0]}}}, "level": 1}], '
             '"compare": {"0": [[[1]]]}, "target": {"terms": {"0": {"proj": [1, 0]}}}}',
         ],
+        ["verify-certificate", "a2.json", _leaf_cert(leaf={"shift": False})],
     ],
     ids=" ".join,
 )
 def test_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
-    """Arguments ending in .json name files in data/; arguments starting
-    with '{' are documents, written to a file first."""
-
-    def path(arg, k):
-        if arg.startswith("{"):
-            doc = tmp_path / f"doc{k}.json"
-            doc.write_text(arg)
-            return str(doc)
-        return data(arg) if arg.endswith(".json") else arg
-
-    argv = [path(a, k) for k, a in enumerate(argv)]
-    assert main(argv) == 2
+    assert main(_paths(argv, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_huge_max_len_on_an_acyclic_quiver(tmp_path):
-    """max_len 10^9 on a2, whose paths end at length 1, answers at once.
-    It runs in a child process under a 1 GiB address-space limit and a
-    timeout, so a path list that grows with max_len fails this test
-    instead of taking the memory of the test runner."""
-    with open(data("a2.json")) as fh:
-        doc = json.load(fh)
-    doc["max_len"] = 10**9
-    alg = tmp_path / "a2_huge.json"
-    alg.write_text(json.dumps(doc))
+def _findim_limited(*argv):
+    """findim in a child process under a 1 GiB address-space limit and a
+    60 s timeout, so an input that takes memory without bound fails the
+    test instead of taking the memory of the test runner."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "findim.cli", "pd", str(alg), data("a2_s0.json")],
+    return subprocess.run(
+        [sys.executable, "-m", "findim.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
     )
+
+
+def test_huge_max_len_on_an_acyclic_quiver(tmp_path):
+    """max_len 10^9 on a2, whose paths end at length 1, answers at once."""
+    with open(data("a2.json")) as fh:
+        doc = json.load(fh)
+    doc["max_len"] = 10**9
+    alg = tmp_path / "a2_huge.json"
+    alg.write_text(json.dumps(doc))
+    proc = _findim_limited("pd", str(alg), data("a2_s0.json"))
     assert proc.returncode == 0, proc.stderr
     assert "Finite(1)" in proc.stdout
+
+
+def test_huge_vertex_count_exit_3(tmp_path):
+    """10^9 vertices are more trivial paths than the path budget allows,
+    which is checked before any path is listed."""
+    alg = tmp_path / "many_vertices.json"
+    alg.write_text(_a2(vertices=10**9))
+    proc = _findim_limited("pd", str(alg), data("a2_s0.json"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "budget exceeded: more than the budget of 65536 paths of length 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pd", "a2.json", '{"dim_vector": [1000000, 1000000]}'],
+        ["pd", "a2.json", '{"dim_vector": [3000, 3000]}'],
+        ["pd", "k.json", '{"dim_vector": [1000000000]}'],
+        ["invariants", "a2.json", '{"terms": {"0": {"proj": [1000000000, 0]}}}'],
+        ["invariants", "a2.json", '{"terms": {"0": {"proj": [1, 0]}, "1": {"proj": [0, 3000]}}}'],
+    ],
+    ids=" ".join,
+)
+def test_module_size_budget_exit_3(argv, tmp_path):
+    """A module document or a "proj" term too large for the cell budget
+    stops before its matrices are allocated."""
+    proc = _findim_limited(*_paths(argv, tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("budget exceeded: a module of dimension vector")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_findim_report_and_exit(tmp_path, capsys):
@@ -275,6 +343,28 @@ def test_verify_theorem_resolves_each_cohomology_module_once(monkeypatch, capsys
     assert capsys.readouterr().out == before
     assert len(seen) == 128
     assert len({id(m) for m in seen}) == 64
+
+
+def test_verify_theorem_computes_cohomology_dims_once_per_complex(monkeypatch, capsys):
+    """183 calls: 83 sampler draws, 50 certificate builds on kept samples
+    and 50 cones in verify_certificate.  The builds read the answer the
+    sampler left on their complex, so 133 are computed."""
+    args = ["findim", data("nakayama3.json"), "--max-dim", "2", "--verify-theorem", "--samples", "50"]
+    assert main(args) == 0
+    before = capsys.readouterr().out
+    computed = []
+    real = findim.complexes.cohomology_dims
+
+    def recording(x):
+        computed.append(getattr(x, "_cohomology_dims", None) is None)
+        return real(x)
+
+    monkeypatch.setattr(findim.complexes, "cohomology_dims", recording)
+    monkeypatch.setattr(findim.certificates, "cohomology_dims", recording)
+    assert main(args) == 0
+    assert capsys.readouterr().out == before
+    assert len(computed) == 183
+    assert sum(computed) == 133
 
 
 def test_verify_certificate_rejects_truncated(tmp_path):

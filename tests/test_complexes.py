@@ -48,7 +48,13 @@ from findim.linalg import (
     solve,
     solve_matrix,
 )
-from findim.modules import Module, ModuleMap, direct_sum_modules, resolution_steps
+from findim.modules import (
+    Module,
+    ModuleMap,
+    direct_sum_modules,
+    projsum_module,
+    resolution_steps,
+)
 from util import a2, assert_same_complex, dual_numbers, linear4, nakayama3
 
 
@@ -592,3 +598,102 @@ def test_cone_matches_reference(build, field):
             placed += len(f.comps)
         assert_same_complex(cone(ChainMap.identity(x)), _cone_reference(ChainMap.identity(x)))
     assert placed  # some cones carry a nonzero f block
+
+
+# -- direct sums against their construction block by block ----------------------
+
+
+def _direct_sum_reference(algebra, xs):
+    """The direct sum with every term a direct sum of modules and every
+    differential a block diagonal of the summands' maps, zero maps included."""
+    nv = algebra.num_vertices
+    degs = sorted({n for x in xs for n in x.terms})
+    terms = {n: direct_sum_modules(algebra, [x.term(n) for x in xs])[0] for n in degs}
+    diffs = {}
+    for n in degs:
+        if n + 1 in terms:
+            mats = [
+                Matrix.block_diag(algebra.field, [x.diff(n).mats[v] for x in xs])
+                for v in range(nv)
+            ]
+            diffs[n] = ModuleMap(terms[n], terms[n + 1], mats, check=False)
+    pv = None
+    if all(x.proj_verts is not None for x in xs):
+        pv = {n: sum((tuple(x.proj_verts.get(n, ())) for x in xs), ()) for n in degs}
+    return Complex(algebra, terms, diffs, proj_verts=pv, check=False)
+
+
+def _undescribed(x):
+    return Complex(x.algebra, x.terms, x.diffs, check=False)
+
+
+def _rows(x):
+    return {id(row) for d in x.diffs.values() for m in d.mats for row in m.data}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3, linear4], ids=lambda b: b.__name__)
+def test_direct_sum_matches_reference(build, field):
+    """Described and undescribed summands, supports with gaps (a summand
+    and its shift by 3, a stalk between), and the empty sum; the sum's
+    differential rows are its own."""
+    alg = build(field)
+    rng = random.Random(5)
+    assert_same_complex(direct_sum(alg, []), _direct_sum_reference(alg, []))
+    gapped = 0
+    for _ in range(6):
+        x, y = random_perfect_complex(alg, rng), random_perfect_complex(alg, rng)
+        stalk = stalk_complex(random_module(alg, rng), 1)
+        gap = direct_sum(alg, [x, shift(x, 3)])
+        gapped += any(n + 1 not in gap.terms for n in gap.support[:-1])
+        for xs in (
+            [x],
+            [x, y],
+            [x, shift(x, 3)],
+            [gap, y, x],
+            [x, _undescribed(y)],
+            [stalk, x, stalk],
+            [_undescribed(x), _undescribed(gap)],
+        ):
+            got = direct_sum(alg, xs)
+            assert_same_complex(got, _direct_sum_reference(alg, xs))
+            mine = [row for d in got.diffs.values() for m in d.mats for row in m.data]
+            assert len({id(row) for row in mine}) == len(mine)
+            assert not {id(row) for row in mine} & set().union(*map(_rows, xs))
+    assert gapped
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+def test_cone_leaves_its_summands_and_the_shared_sums_unchanged(field):
+    alg = linear4(field)
+    rng = random.Random(23)
+    placed = 0
+    for _ in range(6):
+        x, y = random_perfect_complex(alg, rng), random_perfect_complex(alg, rng)
+        f = random_chain_map(x, y, rng)
+        src, tgt = f.source, f.target
+        before = [
+            [m.copy() for d in z.diffs.values() for m in d.mats] for z in (src, tgt)
+        ]
+        shared = [t for z in (src, tgt) for t in z.terms.values()]
+        shared_mats = [m.copy() for t in shared for m in t.arrow_mats.values()]
+        c = cone(f)
+        placed += len(f.comps)
+        for z, mats in zip((src, tgt), before):
+            assert [m.data for d in z.diffs.values() for m in d.mats] == [m.data for m in mats]
+        assert [m.data for t in shared for m in t.arrow_mats.values()] == [m.data for m in shared_mats]
+        for n, verts in c.proj_verts.items():
+            assert c.terms[n] is projsum_module(alg, verts)[0]
+    assert placed
+
+
+def test_missing_differential_equals_explicit_zero():
+    alg = a2()
+    x = res_s0(alg)  # P_1 -> P_0, a nonzero differential
+    assert x.diffs and not any(d.is_zero() for d in x.diffs.values())
+    missing = Complex(alg, x.terms, {}, proj_verts=x.proj_verts)
+    zeros = {n: ModuleMap.zero(x.term(n), x.term(n + 1)) for n in x.diffs}
+    zero = Complex(alg, x.terms, zeros, proj_verts=x.proj_verts)
+    assert missing == zero and zero == missing
+    assert missing != x and x != missing
+    assert zero != x and x != zero

@@ -24,7 +24,7 @@ from findim import (
     shift,
     stalk_complex,
 )
-from findim.complexes import cohomology
+from findim.complexes import cohomology, cohomology_dims
 from findim.invariants import (
     ResolutionCutoffError,
     algebra_complex,
@@ -164,9 +164,22 @@ def test_copies_of_a_complex_leave_its_memos_behind():
     y = stalk_complex(a.simple(1), 0)
     hom_support(x, y)
     cohomology(x, 0)
+    cohomology_dims(x)
     for cx, cy in (copy.deepcopy((x, y)), pickle.loads(pickle.dumps((x, y)))):
         assert not hasattr(cx, "_hom_supports") and not hasattr(cx, "_cohomology")
+        assert not hasattr(cx, "_cohomology_dims")
         assert hom_support(cx, cy).dims == {1: 1}
+
+
+def test_cohomology_dims_returns_a_new_dict_each_call():
+    a = a2()
+    x = resolve_to_perfect(a.simple(0), 5)
+    first = cohomology_dims(x)
+    assert first == {0: 1}
+    first[3] = 2
+    first.pop(0)
+    again = cohomology_dims(x)
+    assert again is not first and again == {0: 1}
 
 
 def test_hom_support_returns_a_new_object_each_call():

@@ -28,6 +28,7 @@ from findim.modules import (
     map_from_generator_images,
     modules_isomorphic,
     projsum_module,
+    projsum_offsets,
     quotient_module,
     radical_basis,
     resolution_steps,
@@ -134,6 +135,43 @@ def test_direct_sum_offsets():
     m, offsets = direct_sum_modules(a, [a.projective(0), a.projective(1)])
     assert m.dims == [1, 2]
     assert offsets[1][1] == 1
+
+
+def _vertex_tuples(alg, longest=3):
+    nv = alg.num_vertices
+    return [t for k in range(longest + 1) for t in itertools.product(range(nv), repeat=k)]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3, linear4], ids=lambda b: b.__name__)
+def test_projsum_module_is_the_sum_of_its_projectives(build, field):
+    """One module per vertex tuple, equal matrix for matrix to the direct
+    sum of the projectives, with the offsets of that sum."""
+    alg = build(field)
+    for verts in _vertex_tuples(alg):
+        mod, offsets = projsum_module(alg, verts)
+        ref, ref_offsets = direct_sum_modules(alg, [alg.projective(i) for i in verts])
+        assert mod.dims == ref.dims
+        for a in alg.quiver.arrows:
+            same_mats([mod.arrow_mats[a.id]], [ref.arrow_mats[a.id]])
+        assert offsets == ref_offsets == projsum_offsets(alg, verts)
+        assert projsum_module(alg, list(verts))[0] is mod
+    assert projsum_module(build(field), (0,))[0] is not projsum_module(alg, (0,))[0]
+
+
+def test_projsum_offsets_are_new_lists():
+    alg = linear4()
+    verts = (0, 2, 1)
+    # the offsets come from the basis, without building or remembering the sum
+    assert projsum_offsets(alg, verts) == [[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]]
+    assert alg._projsum_cache == {}
+    _, offsets = projsum_module(alg, verts)
+    want = [o[:] for o in offsets]
+    offsets[1][2] = 99
+    offsets.append([7, 7, 7, 7])
+    projsum_offsets(alg, verts)[0][0] = 99
+    assert projsum_module(alg, verts)[1] == want
+    assert projsum_offsets(alg, verts) == want
 
 
 def test_quotient_module():
