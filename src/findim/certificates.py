@@ -604,7 +604,12 @@ def certificate_for_hom_p(y: Complex, d: int, cutoff: int) -> ThickCertificate:
 
 
 def _window(x: Complex, lo: int, hi: int) -> Complex:
-    return stupid_truncate(stupid_truncate(x, "ge", lo), "le", hi)
+    """The brutal truncation of the described complex x to the degrees
+    lo..hi, cut in one pass."""
+    terms = {n: m for n, m in x.terms.items() if lo <= n <= hi}
+    diffs = {n: d for n, d in x.diffs.items() if lo <= n < hi}
+    pv = {n: x.proj_verts[n] for n in terms}
+    return Complex(x.algebra, terms, diffs, proj_verts=pv, check=False)
 
 
 def ghost_maps(m: Module, n: int) -> Tuple[List[ChainMap], ChainMap]:

@@ -181,7 +181,8 @@ class ChainMap:
         Both sides are compared vertex by vertex as matrices.  A side with
         a zero factor is the zero matrix; a factor whose matrix is the
         identity, recognised by its entries, leaves the other factor as
-        the product, so d o id and id o d cost no multiplication.
+        the product, so d o id and id o d cost no multiplication, and two
+        sides that are then one matrix object need no comparison.
         """
         src, tgt = self.source, self.target
         for n in set(self.comps) | {n - 1 for n in self.comps}:
@@ -196,7 +197,7 @@ class ChainMap:
                 elif rhs is None:
                     if not lhs.is_zero():
                         return False
-                elif lhs != rhs:
+                elif lhs is not rhs and lhs != rhs:
                     return False
         return True
 
@@ -425,18 +426,25 @@ def _basis_of(d: ModuleMap, v: int, fn) -> Matrix:
     The windows of one resolution share their differential objects, so a
     basis is computed once per resolution; the entries are compared with
     a copy on every lookup, so an in-place edit is never answered from
-    the cache.
+    the cache.  The rows alone are compared: the shape of d.mats[v] is
+    fixed by the dimensions of d's source and target.
     """
     cache = getattr(d, "_bases", None)
     if cache is None:
         cache = d._bases = {}
     mat = d.mats[v]
     hit = cache.get((fn, v))
-    if hit is not None and hit[0] == mat:
+    if hit is not None and hit[0].data == mat.data:
         return hit[1]
     basis = fn(mat)
     cache[(fn, v)] = (mat.copy(), basis)
     return basis
+
+
+def _contains(bound: Matrix, image: Matrix) -> bool:
+    """Whether the columns of ``image`` lie in the span of the independent
+    columns of ``bound``: rank [bound | image] = rank bound."""
+    return rank(Matrix.hstack(bound.field, [bound, image], rows=bound.rows)) == bound.cols
 
 
 def induced_cohomology_zero(f: ChainMap) -> bool:
@@ -446,6 +454,15 @@ def induced_cohomology_zero(f: ChainMap) -> bool:
     Z = ker d_X^n must lie in the boundaries B = im d_Y^{n-1}, that is
     rank [B | f^n Z] = rank B.  A zero component passes at once, and an
     identity component, recognised by its entries, maps Z to itself.
+
+    For an identity component the test reads only d_X^n and d_Y^{n-1}:
+    whether ker d_X^n lies in im d_Y^{n-1}, for the windows of one
+    resolution its exactness at n, the same in every window.  So that
+    verdict is remembered on d_Y^{n-1}, one per vertex, beside its bases
+    and with the two basis objects it was read from, and reused only for
+    those very objects.  `_basis_of` hands back new objects after an
+    in-place edit of either differential, so an edit is never answered
+    from the memo.
     """
     x, y = f.source, f.target
     for n in sorted(f.comps):
@@ -454,7 +471,8 @@ def induced_cohomology_zero(f: ChainMap) -> bool:
         for v in range(x.algebra.num_vertices):
             fv = fn.mats[v]
             # with no differential out of degree n, every vector is a cycle
-            image = fv if dx is None else _product(fv, _basis_of(dx, v, kernel_basis))
+            cycles = None if dx is None else _basis_of(dx, v, kernel_basis)
+            image = fv if cycles is None else _product(fv, cycles)
             if image.cols == 0:
                 continue
             if dy is None:
@@ -462,7 +480,16 @@ def induced_cohomology_zero(f: ChainMap) -> bool:
                     return False
                 continue
             bound = _basis_of(dy, v, column_space_basis)
-            if rank(Matrix.hstack(fv.field, [bound, image], rows=bound.rows)) != bound.cols:
+            if image is not cycles:  # fv is no identity: test its image
+                if not _contains(bound, image):
+                    return False
+                continue
+            # the verdict, kept in the cache that holds the bases of dy
+            key = (_contains, v)
+            hit = dy._bases.get(key)
+            if hit is None or hit[0] is not cycles or hit[1] is not bound:
+                hit = dy._bases[key] = (cycles, bound, _contains(bound, cycles))
+            if not hit[2]:
                 return False
     return True
 

@@ -25,6 +25,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 _MAX_PRIME = 2**31
+# Fractions are immutable, so every rational zero and one can be these two
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
@@ -56,16 +59,23 @@ class Field:
         return self.p is None
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _Q_ZERO if self.p is None else 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _Q_ONE if self.p is None else 1
 
     def coerce(self, x):
-        """Bring an int / Fraction / 'a/b' string into this field."""
+        """Bring an int / Fraction / 'a/b' string into this field.
+
+        Floats and booleans raise TypeError: the arithmetic is exact, and
+        int() would read 0.5 as 0 and True as 1.  A plain int, the common
+        input, is read before any other test.
+        """
+        if type(x) is int:
+            return Fraction(x) if self.p is None else x % self.p
+        if isinstance(x, (bool, float)):
+            raise TypeError(f"not an exact scalar: {x!r}")
         if self.p is None:
-            if isinstance(x, str):
-                return Fraction(x)
             return Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
@@ -91,7 +101,7 @@ class Field:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
+            return _Q_ONE / a
         return pow(a, -1, self.p)
 
     def __eq__(self, other):
@@ -237,10 +247,11 @@ class Matrix:
 
     def is_identity(self) -> bool:
         """Whether this is an identity matrix, read from the entries."""
-        if self.rows != self.cols:
+        n = self.cols
+        if self.rows != n:
             return False
         for i, row in enumerate(self.data):
-            if row[i] != 1 or any(row[:i]) or any(row[i + 1 :]):
+            if row[i] != 1 or row.count(0) != n - 1:
                 return False
         return True
 

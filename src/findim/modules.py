@@ -144,15 +144,23 @@ class ModuleMap:
         return cls(m, m, [Matrix.identity(f, d) for d in m.dims], check=False)
 
     def compose(self, first: "ModuleMap") -> "ModuleMap":
-        """self after first."""
+        """self after first.
+
+        Every matrix is new: where a factor is an identity matrix,
+        recognised by its entries, the other factor is copied instead of
+        multiplied.
+        """
         if first.target is not self.source and first.target.dims != self.source.dims:
             raise ValueError("maps not composable")
-        return ModuleMap(
-            first.source,
-            self.target,
-            [self.mats[v] @ first.mats[v] for v in range(len(self.mats))],
-            check=False,
-        )
+        mats = []
+        for a, b in zip(self.mats, first.mats):
+            if a.is_identity():
+                mats.append(b.copy())
+            elif b.is_identity():
+                mats.append(a.copy())
+            else:
+                mats.append(a @ b)
+        return ModuleMap(first.source, self.target, mats, check=False)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(

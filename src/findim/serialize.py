@@ -87,8 +87,8 @@ def scalar_to_json(field: Field, x):
 def scalar_from_json(field: Field, v):
     """An int or an "a/b" string as an element of the field.
 
-    JSON floats and booleans are refused: the arithmetic is exact, and
-    Field.coerce would read 0.5 as 0 over GF(p) and true as 1.
+    JSON floats and booleans are refused with a parse error naming the
+    kinds of scalar a document may hold (Field.coerce refuses them too).
     """
     if isinstance(v, (bool, float)):
         raise ParseError(f"bad scalar {v!r}: expected an integer or an 'a/b' string")

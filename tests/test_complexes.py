@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import findim.certificates as certificates
+import findim.complexes as complexes
 from findim import (
     GF,
     QQ,
@@ -14,6 +16,7 @@ from findim import (
     direct_sum,
     enumerate_modules,
     ghost_maps,
+    ghost_pd_oracle,
     hom_support,
     null_homotopy,
     shift,
@@ -449,6 +452,37 @@ def test_fast_checks_see_an_edit_after_a_check():
                 m.data[r][c] = old
                 assert phi.commutes() and induced_cohomology_zero(phi)
     assert not_chain and not_ghost
+
+
+def test_ghost_oracle_tests_each_exactness_once(monkeypatch):
+    """Over ghost_pd_oracle(m, n) for n = 1..6, induced_cohomology_zero
+    makes at most one rank test per (differential, vertex) of the
+    resolution of m: the windows of every n share those differentials."""
+    alg = nakayama3(GF(2))
+    m = alg.simple(0)
+    calls = inside = 0
+    real_rank, real_check = complexes.rank, certificates.induced_cohomology_zero
+
+    def counted_rank(mat):
+        nonlocal calls
+        calls += inside
+        return real_rank(mat)
+
+    def check(f):
+        nonlocal inside
+        inside = 1
+        try:
+            return real_check(f)
+        finally:
+            inside = 0
+
+    monkeypatch.setattr(complexes, "rank", counted_rank)
+    monkeypatch.setattr(certificates, "induced_cohomology_zero", check)
+    assert [ghost_pd_oracle(m, n, 20) for n in range(1, 7)] == [False] * 6
+    # the deepest oracle (n = 6) reads 2 * 7 + 2 terms, so 15 differentials
+    diffs = [d for _, _, d, _ in itertools.islice(resolution_steps(m), 16)][1:]
+    assert len(diffs) == 15
+    assert 0 < calls <= len(diffs) * alg.num_vertices
 
 
 # -- cohomology against its construction by coset representatives ------------

@@ -407,3 +407,17 @@ def test_is_identity_reads_every_entry(field):
             m = Matrix.identity(field, 3)
             m.data[r][c] = field.add(m.data[r][c], field.one())
             assert not m.is_identity()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+@pytest.mark.parametrize("value", [0.5, 0.1, 1.0, True, False], ids=repr)
+def test_coerce_refuses_floats_and_booleans(field, value):
+    with pytest.raises(TypeError):
+        field.coerce(value)
+    with pytest.raises(TypeError):
+        Matrix(field, 1, 2, [[1, value]])
+
+
+def test_rational_zero_and_one_are_shared_constants():
+    assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
+    assert (type(QQ.zero()), QQ.zero(), type(QQ.one()), QQ.one()) == (Fraction, 0, Fraction, 1)

@@ -10,6 +10,7 @@ from findim import (
     Module,
     ModuleMap,
     Quiver,
+    Relation,
     build_algebra,
     enumerate_modules,
     ghost_pd_oracle,
@@ -65,6 +66,32 @@ def test_module_map_composition_and_kernel():
     assert _surjective(f)
     k = syzygy(s0)
     assert k.dims == [0, 1]  # the radical of P0, i.e. P1
+
+
+def _random_map(m, n, rng):
+    """A random combination of the Hom(m, n) basis, or the zero map."""
+    out = ModuleMap.zero(m, n)
+    for g in hom_space(m, n):
+        out = out + g.scale(rng.randrange(-3, 4))
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+def test_compose_is_the_product_in_new_matrices(field):
+    """compose equals the plain matrix product vertex by vertex, with and
+    without identity factors, and returns matrices and rows of its own."""
+    alg = nakayama3(field)
+    rng = random.Random(5)
+    mods = [random_module(alg, rng) for _ in range(4)] + [alg.simple(0)]
+    for l, m, n in itertools.product(mods, repeat=3):
+        f, g, i = _random_map(l, m, rng), _random_map(m, n, rng), ModuleMap.identity(m)
+        for a, b in ((g, f), (i, f), (g, i), (i, i)):
+            got = a.compose(b)
+            same_mats(got.mats, [x @ y for x, y in zip(a.mats, b.mats)])
+            factors = a.mats + b.mats
+            assert not any(x is y for x in got.mats for y in factors)
+            rows = {id(r) for y in factors for r in y.data}
+            assert not any(id(r) in rows for x in got.mats for r in x.data)
 
 
 def test_projective_cover_top():
@@ -446,3 +473,68 @@ def test_lazy_resolution_covers_each_step_once(monkeypatch):
                 ghost_pd_oracle(m, n, 16)
             assert len(calls) == expected
             assert len(set(map(id, calls))) == expected
+
+
+# -- independent oracles on random quivers ------------------------------------
+
+
+def _random_acyclic_quiver(rng):
+    """2 to 5 vertices and up to 6 arrows, each from a lower to a higher
+    vertex, parallel arrows allowed."""
+    n = rng.randint(2, 5)
+    arrows = [(f"a{k}", *sorted(rng.sample(range(n), 2))) for k in range(rng.randint(1, 6))]
+    return Quiver(n, arrows)
+
+
+def _paths(q, length):
+    """Every path of this many arrows, as a list of arrow names."""
+    paths = [[a] for a in q.arrows]
+    for _ in range(length - 1):
+        paths = [p + [a] for p in paths for a in q.arrows if a.source == p[-1].target]
+    return [[a.id for a in p] for p in paths]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+def test_path_algebras_without_relations_are_hereditary(field):
+    """kQ of an acyclic quiver is hereditary: rad P_i is the sum of the P_j
+    over the arrows i -> j, so pd S_i is 1 when an arrow leaves i and 0
+    when i is a sink."""
+    rng = random.Random(17)
+    for _ in range(12):
+        q = _random_acyclic_quiver(rng)
+        alg = build_algebra(q, [], field, q.num_vertices)
+        for i in range(q.num_vertices):
+            leaves = any(a.source == i for a in q.arrows)
+            assert proj_dim(alg.simple(i), 4).describe() == f"Finite({int(leaves)})"
+
+
+def _random_monomial_algebras(field, rng):
+    """Random zero relations (paths of length 2 and 3) on random acyclic
+    quivers, and on oriented cycles cut off at a random path length."""
+    for _ in range(10):
+        q = _random_acyclic_quiver(rng)
+        paths = _paths(q, 2) + _paths(q, 3)
+        zero = rng.sample(paths, rng.randint(0, len(paths)))
+        yield build_algebra(q, [Relation(q, [(1, p)]) for p in zero], field, q.num_vertices)
+    for _ in range(4):
+        n = rng.randint(1, 4)
+        q = Quiver(n, [(f"c{v}", v, (v + 1) % n) for v in range(n)])
+        cut = rng.randint(2, 4)
+        short = [p for p in _paths(q, 2) + _paths(q, 3) if len(p) < cut and rng.random() < 0.3]
+        zero = _paths(q, cut) + short
+        yield build_algebra(q, [Relation(q, [(1, p)]) for p in zero], field, cut)
+
+
+def test_monomial_algebras_have_simple_pds_independent_of_the_field():
+    """Over a monomial algebra the projective dimension of each simple does
+    not depend on the field (Green, Happel and Zacharia, 1985)."""
+    answers = []
+    for field in (GF(2), GF(3), QQ):
+        rng = random.Random(23)  # the same quivers and relations per field
+        answers.append([])
+        for alg in _random_monomial_algebras(field, rng):
+            pds = [proj_dim(alg.simple(i), 6) for i in range(alg.num_vertices)]
+            answers[-1].append((alg.dim, [r.value if r.is_finite else None for r in pds]))
+    assert answers[0] == answers[1] == answers[2]
+    seen = {pd for _, pds in answers[0] for pd in pds}
+    assert None in seen and len(seen) > 3  # infinite and several finite values
