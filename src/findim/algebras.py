@@ -136,7 +136,6 @@ class FDAlgebra:
         for k, c in enumerate(_basis_cols):
             p = self._paths[c]
             self.basis_by_pair.setdefault((p[0], self.path_target(p)), []).append(k)
-        self._mult_cache: Dict[Tuple[int, int], Dict[int, object]] = {}
         self._proj_cache: Dict[int, Module] = {}
         # vertex tuple -> (projective sum, per-summand offsets), see projsum_module
         self._projsum_cache: Dict[Tuple[int, ...], Tuple[Module, List[List[int]]]] = {}
@@ -179,17 +178,11 @@ class FDAlgebra:
 
     def mult_basis(self, k1: int, k2: int) -> Dict[int, object]:
         """Structure constants: product of basis classes k1 * k2."""
-        key = (k1, k2)
-        if key in self._mult_cache:
-            return self._mult_cache[key]
         s1, a1 = self.basis_path(k1)
         s2, a2 = self.basis_path(k2)
         if self.path_target(self.basis_path(k1)) != s2:
-            out: Dict[int, object] = {}
-        else:
-            out = self.class_of_path((s1, a1 + a2))
-        self._mult_cache[key] = out
-        return out
+            return {}
+        return self.class_of_path((s1, a1 + a2))
 
     # -- canonical modules -------------------------------------------------
 

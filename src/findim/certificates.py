@@ -76,22 +76,27 @@ def enumerate_modules(
     require more than `budget` matrix-tuple candidates.
     """
     for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
-        yield from _modules_with_dims(algebra, dims, budget)
+        _check_budget(algebra, dims, budget)
+        yield from _modules_with_dims(algebra, dims)
 
 
-def _modules_with_dims(algebra, dims, budget) -> Iterator[Module]:
+def _check_budget(algebra, dims, budget) -> None:
     p = algebra.field.p
     if p is None:
         raise ValueError("module enumeration needs a finite field")
-    arrows = algebra.quiver.arrows
-    entries = sum(dims[a.target] * dims[a.source] for a in arrows)
+    entries = sum(dims[a.target] * dims[a.source] for a in algebra.quiver.arrows)
     if p**entries > budget:
         raise BudgetExceededError(
             f"dimension vector {list(dims)}: search space {p}^{entries} "
             f"= {p**entries} exceeds budget {budget}"
         )
+
+
+def _modules_with_dims(algebra, dims) -> Iterator[Module]:
+    arrows = algebra.quiver.arrows
     shapes = [(dims[a.target], dims[a.source]) for a in arrows]
-    for flat in itertools.product(range(p), repeat=entries):
+    entries = sum(r * c for r, c in shapes)
+    for flat in itertools.product(range(algebra.field.p), repeat=entries):
         mats = {}
         pos = 0
         for a, (r, c) in zip(arrows, shapes):
@@ -108,15 +113,15 @@ def _modules_with_dims(algebra, dims, budget) -> Iterator[Module]:
 def _budgeted_modules(
     algebra, max_total_dim: int, budget: int, skipped: List[List[int]]
 ) -> Iterator[Module]:
-    """The modules of enumerate_modules, except that a dimension vector
-    over the budget is appended to `skipped` and passed over."""
+    """The modules of enumerate_modules, one by one, except that a dimension
+    vector over the budget is appended to `skipped` and passed over."""
     for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
         try:
-            mods = list(_modules_with_dims(algebra, dims, budget))
+            _check_budget(algebra, dims, budget)
         except BudgetExceededError:
             skipped.append(list(dims))
             continue
-        yield from mods
+        yield from _modules_with_dims(algebra, dims)
 
 
 @dataclass
@@ -474,7 +479,7 @@ def certificate_from_resolution(
         # the augmentation P_0 -> m: step 0 of the resolution just read
         comps[0] = next(resolution_steps(m))[2]
     if truncate_at is not None:
-        x = stupid_truncate(x, "ge", -max(truncate_at, 0))
+        x = stupid_truncate(x, lo=-max(truncate_at, 0))
     return _certificate(x, stalk_complex(m, 0), comps)
 
 
@@ -603,15 +608,6 @@ def certificate_for_hom_p(y: Complex, d: int, cutoff: int) -> ThickCertificate:
 # -- ghost maps --------------------------------------------------------------
 
 
-def _window(x: Complex, lo: int, hi: int) -> Complex:
-    """The brutal truncation of the described complex x to the degrees
-    lo..hi, cut in one pass."""
-    terms = {n: m for n, m in x.terms.items() if lo <= n <= hi}
-    diffs = {n: d for n, d in x.diffs.items() if lo <= n < hi}
-    pv = {n: x.proj_verts[n] for n in terms}
-    return Complex(x.algebra, terms, diffs, proj_verts=pv, check=False)
-
-
 def ghost_maps(m: Module, n: int) -> Tuple[List[ChainMap], ChainMap]:
     """The chain of n ghost maps between windows of the resolution of m,
     and their composite.
@@ -627,10 +623,9 @@ def ghost_maps(m: Module, n: int) -> Tuple[List[ChainMap], ChainMap]:
     """
     if n < 1:
         raise ValueError("need at least one ghost map")
-    steps = itertools.islice(resolution_steps(m), 2 * n + 2)
-    q = resolution_complex(m.algebra, ((proj, verts, d) for proj, verts, d, _ in steps))
+    q = resolution_complex(m, 2 * n + 2)
     ids = {deg: ModuleMap.identity(t) for deg, t in q.terms.items()}
-    windows = [_window(q, -n - k - 1, -k) for k in range(n + 1)]
+    windows = [stupid_truncate(q, -n - k - 1, -k) for k in range(n + 1)]
     maps: List[ChainMap] = []
     for src, tgt in zip(windows, windows[1:]):
         comps = {deg: ids[deg] for deg in src.terms if deg in tgt.terms}

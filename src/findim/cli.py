@@ -211,25 +211,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cutoff: bool = False):
         p.add_argument("--field", help="override the algebra's field: Q or gfp:p")
-        p.add_argument("--cutoff", type=int, default=8)
-        p.add_argument("--max-dim", type=int, default=4, dest="max_dim")
+        if cutoff:
+            p.add_argument("--cutoff", type=int, default=8)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10**6)
         p.add_argument("--json", help="also write the JSON report to this path")
 
     p = sub.add_parser("pd", help="projective dimension of a module")
     p.add_argument("algebra")
     p.add_argument("module")
-    common(p)
+    common(p, cutoff=True)
     p.set_defaults(func=cmd_pd)
 
     p = sub.add_parser("findim", help="small finitistic dimension estimate")
     p.add_argument("algebra")
+    p.add_argument("--max-dim", type=int, default=4, dest="max_dim")
+    p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--verify-theorem", action="store_true", dest="verify_theorem")
     p.add_argument("--samples", type=int, default=50)
-    common(p)
+    common(p, cutoff=True)
     p.set_defaults(func=cmd_findim)
 
     p = sub.add_parser("invariants", help="Hom-support, h, amplitude")
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("module")
     p.add_argument("n", type=int)
-    common(p)
+    common(p, cutoff=True)
     p.set_defaults(func=cmd_ghost)
     return ap
 
@@ -258,9 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cutoff < 1:
+        # only the subcommands that take these options have them
+        if getattr(args, "cutoff", 1) < 1:
             raise ParseError(f"--cutoff must be >= 1, got {args.cutoff}")
-        if args.max_dim < 0:
+        if getattr(args, "max_dim", 0) < 0:
             raise ParseError(f"--max-dim must be >= 0, got {args.max_dim}")
         return args.func(args)
     except ParseError as e:

@@ -28,6 +28,7 @@ from .linalg import (
 from .modules import (
     Module,
     ModuleMap,
+    _Memoized,
     direct_sum_modules,
     generator_positions,
     kernel_of,
@@ -45,7 +46,7 @@ class NotPerfectError(ValueError):
     """A complex was required to consist of projective terms but does not."""
 
 
-class Complex:
+class Complex(_Memoized):
     """Bounded cochain complex of modules with degree +1 differentials.
 
     Complexes, like modules, are not edited after construction: their
@@ -77,11 +78,6 @@ class Complex:
         )
         if check:
             self._validate()
-
-    def __getstate__(self):
-        # copies and pickles leave the remembered answers (the underscore
-        # attributes) behind: they hold weak references
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def _validate(self):
         for n, d in self.diffs.items():
@@ -369,19 +365,14 @@ def cone(f: ChainMap) -> Complex:
     return c
 
 
-def stupid_truncate(x: Complex, mode: str, k: int) -> Complex:
-    """Brutal truncation keeping degrees <= k ('le') or >= k ('ge')."""
-    if mode not in ("le", "ge"):
-        raise ValueError("mode must be 'le' or 'ge'")
-    keep = (lambda n: n <= k) if mode == "le" else (lambda n: n >= k)
-    terms = {n: m for n, m in x.terms.items() if keep(n)}
-    diffs = {n: d for n, d in x.diffs.items() if keep(n) and keep(n + 1)}
-    pv = (
-        {n: v for n, v in x.proj_verts.items() if keep(n)}
-        if x.proj_verts is not None
-        else None
-    )
-    return Complex(x.algebra, terms, diffs, proj_verts=pv, check=False)
+def stupid_truncate(x: Complex, lo: Optional[int] = None, hi: Optional[int] = None) -> Complex:
+    """The brutal truncation of x to the degrees lo..hi, cut in one pass;
+    a bound left None leaves that end open.  The kept terms keep their
+    differentials and descriptors, the very objects of x."""
+    terms = {
+        n: m for n, m in x.terms.items() if (lo is None or lo <= n) and (hi is None or n <= hi)
+    }
+    return Complex(x.algebra, terms, x.diffs, proj_verts=x.proj_verts, check=False)
 
 
 # -- cohomology --------------------------------------------------------------
@@ -598,7 +589,6 @@ class HomComplex:
                     d = yoneda_dim(self.algebra, x.proj_verts[k], y.term(k + n))
                     blocks.append((k, d))
             self._blocks[n] = blocks
-        self._diff_cache: Dict[int, Matrix] = {}
         # (degree of y, basis index) -> rows of y^degree.act_path(path)
         self._act_cache: Dict[Tuple[int, int], List[List]] = {}
 
@@ -643,8 +633,6 @@ class HomComplex:
         of d_y^{k+n}.mats[i_g], and its pre-composition block at (h, g) is
         -(-1)^n sum_path c_path y^{k+n}.act_path(path).
         """
-        if n in self._diff_cache:
-            return self._diff_cache[n]
         alg = self.algebra
         p = self.field.p
         zero = self.field.zero()
@@ -697,9 +685,7 @@ class HomComplex:
             col += d
         if p is not None:
             data = [[e % p for e in row] for row in data]
-        out = Matrix._of(self.field, rows, cols, data)
-        self._diff_cache[n] = out
-        return out
+        return Matrix._of(self.field, rows, cols, data)
 
     def decode_block(self, n: int, k: int, coords: Sequence) -> ModuleMap:
         verts = self.x.proj_verts[k]

@@ -13,16 +13,16 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from .linalg import Matrix
 from .modules import (
     Module,
-    ModuleMap,
-    minimal_resolution,
+    proj_dim,
     projsum_module,
     quotient_module,
     radical_basis,
+    resolution_steps,
     submodule_closure,
 )
 from .complexes import (
@@ -63,23 +63,21 @@ class HomSupport:
         return {str(n): d for n, d in sorted(self.dims.items())}
 
 
-def resolution_complex(
-    algebra, steps: Iterable[Tuple[Module, Sequence[int], ModuleMap]]
-) -> Complex:
-    """A projective resolution as a perfect complex in degrees -K..0.
+def resolution_complex(m: Module, length: int) -> Complex:
+    """The first `length` steps of the minimal resolution of m, read from
+    `resolution_steps(m)`, as a perfect complex in degrees -length+1..0.
 
-    `steps` gives (P_k, verts_k, d_k) for k = 0, 1, ..., K: the term, the
-    vertices of its summands and the differential d_k : P_k -> P_{k-1}.
-    P_k goes to degree -k with descriptor verts_k; d_0, the augmentation
-    when there is one, is not a differential of the complex and is dropped.
+    P_k goes to degree -k with its summand vertices as descriptor and d_k
+    as differential; d_0, the augmentation, is not a differential of the
+    complex.  The complex stops with the resolution when that is shorter.
     """
     terms, diffs, pv = {}, {}, {}
-    for k, (proj, verts, d) in enumerate(steps):
+    for k, (proj, verts, d, _) in zip(range(length), resolution_steps(m)):
         terms[-k] = proj
-        pv[-k] = tuple(verts)
+        pv[-k] = verts
         if k > 0:
             diffs[-k] = d
-    return Complex(algebra, terms, diffs, proj_verts=pv, check=False)
+    return Complex(m.algebra, terms, diffs, proj_verts=pv, check=False)
 
 
 def resolve_to_perfect(m: Module, cutoff: int) -> Complex:
@@ -88,13 +86,10 @@ def resolve_to_perfect(m: Module, cutoff: int) -> Complex:
     Quasi-isomorphic to m placed in degree 0.  Raises ResolutionCutoffError
     ("pd at least cutoff") when the resolution does not terminate.
     """
-    if m.is_zero():
-        return resolution_complex(m.algebra, [])
-    res = minimal_resolution(m, cutoff)
-    if not res.status.is_finite:
+    status = proj_dim(m, cutoff)
+    if not status.is_finite:
         raise ResolutionCutoffError("pd at least cutoff")
-    d = [res.augmentation] + res.differentials
-    return resolution_complex(m.algebra, zip(res.terms, res.term_verts, d))
+    return resolution_complex(m, status.value + 1)
 
 
 def algebra_complex(algebra, degree: int = 0) -> Complex:
@@ -230,35 +225,30 @@ def random_chain_map(x: Complex, y: Complex, rng: random.Random) -> ChainMap:
     return acc
 
 
-def random_perfect_complex(
-    algebra,
-    rng: random.Random,
-    max_pieces: int = 3,
-    max_shift: int = 3,
-    cutoff: int = 8,
-) -> Complex:
+def random_perfect_complex(algebra, rng: random.Random) -> Complex:
     """A seeded random perfect complex with spread-out support.
 
-    Pieces are shifted resolutions of random finite-dimensional modules
-    (falling back to projectives when a sample has infinite projective
-    dimension); with probability one half, two pieces are glued by the
-    cone of a random chain map instead of a plain direct sum.
+    One to three pieces, each the resolution of a random finite-dimensional
+    module within cutoff 8 (falling back to a projective when a sample has
+    no such resolution), shifted by -3..3; with probability one half, two
+    pieces are glued by the cone of a random chain map instead of a plain
+    direct sum.
     """
     pieces: List[Complex] = []
-    for _ in range(rng.randint(1, max_pieces)):
+    for _ in range(rng.randint(1, 3)):
         base = None
         for _attempt in range(4):
             m = random_module(algebra, rng)
             if m.is_zero():
                 continue
             try:
-                base = resolve_to_perfect(m, cutoff)
+                base = resolve_to_perfect(m, 8)
                 break
             except ResolutionCutoffError:
                 continue
         if base is None:
             base = projsum_complex(algebra, (rng.randrange(algebra.num_vertices),))
-        pieces.append(shift(base, rng.randint(-max_shift, max_shift)))
+        pieces.append(shift(base, rng.randint(-3, 3)))
     while len(pieces) > 1 and rng.random() < 0.5:
         a = pieces.pop(rng.randrange(len(pieces)))
         b = pieces.pop(rng.randrange(len(pieces)))

@@ -309,17 +309,6 @@ class Matrix:
         return Matrix._of(field, nr, sum(m.cols for m in mats), data)
 
     @staticmethod
-    def vstack(field: Field, mats: Sequence["Matrix"], cols: Optional[int] = None) -> "Matrix":
-        mats = list(mats)
-        if not mats:
-            return Matrix.zeros(field, 0, cols or 0)
-        nc = mats[0].cols
-        if any(m.cols != nc for m in mats):
-            raise ValueError("column count mismatch in vstack")
-        data = [row[:] for m in mats for row in m.data]
-        return Matrix._of(field, sum(m.rows for m in mats), nc, data)
-
-    @staticmethod
     def block_diag(field: Field, mats: Sequence["Matrix"]) -> "Matrix":
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)

@@ -28,7 +28,17 @@ from .linalg import (
 )
 
 
-class Module:
+class _Memoized:
+    """Base of the objects that remember answers on themselves, in
+    underscore attributes.  Copies and pickles leave those behind: a copy
+    that is then edited is never answered from the original's memos, and
+    no weak reference of a memo is copied."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+
+class Module(_Memoized):
     """Representation of a quiver algebra: dims per vertex, matrix per arrow.
 
     A module is not mutated after construction: `resolution_steps` keeps
@@ -63,14 +73,14 @@ class Module:
 
     def _act_arrows(self, arrows: Sequence[int]) -> Matrix:
         q = self.algebra.quiver
-        src = q.arrows[arrows[0]].source
-        m = Matrix.identity(self.algebra.field, self.dims[src])
-        for k in arrows:
+        m = self.arrow_mats[q.arrows[arrows[0]].id]
+        for k in arrows[1:]:
             m = self.arrow_mats[q.arrows[k].id] @ m
         return m
 
     def act_path(self, path) -> Matrix:
-        """Matrix of the action of a path, from its source fiber to target."""
+        """Matrix of the action of a path, from its source fiber to target;
+        for a single arrow, the module's own matrix, not to be edited."""
         src, arrows = path
         if not arrows:
             return Matrix.identity(self.algebra.field, self.dims[src])
@@ -101,7 +111,7 @@ class Module:
         return f"Module(dims={self.dims})"
 
 
-class ModuleMap:
+class ModuleMap(_Memoized):
     """A homomorphism of modules: one matrix per vertex, commuting with arrows."""
 
     def __init__(self, source: Module, target: Module, mats: Sequence[Matrix], check: bool = True):

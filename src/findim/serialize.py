@@ -21,7 +21,7 @@ as plain ints):
 
 Every other number (vertex counts and indices, max_len, gfp, dimension
 vectors, multiplicities, certificate integers) is a JSON integer; degree
-keys are strings.  `dumps` is canonical (sorted keys, fixed separators),
+keys are str(n).  `dumps` is canonical (sorted keys, fixed separators),
 so identical data always produces byte-identical files.
 """
 
@@ -58,6 +58,14 @@ def _int(v, what: str) -> int:
     if type(v) is not int:
         raise ParseError(f"bad {what} {v!r}: expected an integer")
     return v
+
+
+def _degree(key) -> int:
+    """A degree key, as str(n) writes the degree n: "+0", "-0", " 0", "00"
+    and "1_0", which int() would read, are refused."""
+    if not (isinstance(key, str) and key.removeprefix("-").isdecimal() and str(int(key)) == key):
+        raise ParseError(f"bad degree key {key!r}: expected an integer written as str(n)")
+    return int(key)
 
 
 def _check_module_size(algebra: FDAlgebra, dims: List[int]) -> None:
@@ -260,10 +268,7 @@ def complex_to_json(x: Complex) -> dict:
             terms[str(n)] = {"proj": _verts_to_mults(verts, x.algebra.num_vertices)}
         else:
             terms[str(n)] = module_to_json(m)
-    diffs = {
-        str(n): [matrix_to_json(mat) for mat in d.mats] for n, d in x.diffs.items()
-    }
-    return {"terms": terms, "differentials": diffs}
+    return {"terms": terms, "differentials": _maps_to_json(x.diffs)}
 
 
 def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
@@ -285,7 +290,7 @@ def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
 
     try:
         for key, tdoc in doc["terms"].items():
-            n = int(key)
+            n = _degree(key)
             if isinstance(tdoc, dict) and "proj" in tdoc:
                 verts = _mults_to_verts(algebra, tdoc["proj"])
                 terms[n], _ = projsum_module(algebra, verts)
@@ -308,10 +313,14 @@ def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
 # -- chain maps and homotopies -----------------------------------------------
 
 
+def _maps_to_json(maps: Dict[int, ModuleMap]) -> dict:
+    """The {degree: [one matrix per vertex]} document of module maps, as
+    `_maps_from_json` reads it."""
+    return {str(n): [matrix_to_json(m) for m in g.mats] for n, g in maps.items()}
+
+
 def chain_map_to_json(f: ChainMap) -> dict:
-    return {
-        str(n): [matrix_to_json(m) for m in g.mats] for n, g in f.comps.items()
-    }
+    return _maps_to_json(f.comps)
 
 
 def _maps_from_json(algebra: FDAlgebra, doc, ends, what: str) -> Dict[int, ModuleMap]:
@@ -326,7 +335,7 @@ def _maps_from_json(algebra: FDAlgebra, doc, ends, what: str) -> Dict[int, Modul
     maps: Dict[int, ModuleMap] = {}
     try:
         for key, mats_doc in doc.items():
-            n = int(key)
+            n = _degree(key)
             src, tgt = ends(n)
             if not isinstance(mats_doc, list) or len(mats_doc) != nv:
                 raise ParseError(
@@ -358,9 +367,7 @@ def chain_map_from_json(
 
 
 def homotopy_to_json(h: Homotopy) -> dict:
-    return {
-        str(n): [matrix_to_json(m) for m in g.mats] for n, g in h.maps.items()
-    }
+    return _maps_to_json(h.maps)
 
 
 def homotopy_from_json(source: Complex, target: Complex, doc: dict) -> Homotopy:

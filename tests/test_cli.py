@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -140,6 +141,14 @@ def _leaf_cert(leaf=None, **fields):
             '"compare": {"0": [[[1]]]}, "target": {"terms": {"0": {"proj": [1, 0]}}}}',
         ],
         ["verify-certificate", "a2.json", _leaf_cert(leaf={"shift": False})],
+        # degree keys other than str(n): a term, a differential, a chain map
+        ["invariants", "a2.json", '{"terms": {"0": {"proj": [1, 0]}, "+0": {"proj": [0, 1]}}}'],
+        [
+            "invariants",
+            "a2.json",
+            '{"terms": {"0": {"proj": [1, 0]}, "1": {"proj": [0, 1]}}, "differentials": {"-0": [[], [[0]]]}}',
+        ],
+        ["verify-certificate", "a2.json", _leaf_cert(compare={"0 ": [[[1]], [[1]]]})],
     ],
     ids=" ".join,
 )
@@ -147,6 +156,40 @@ def test_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     assert main(_paths(argv, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class _Reads(argparse.Namespace):
+    """A namespace that records the names read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_names").add(name)
+        return object.__getattribute__(self, name)
+
+
+OPTION_CASES = {
+    "pd": ["a2.json", "a2_s0.json"],
+    "findim": ["a2.json", "--max-dim", "1", "--verify-theorem", "--samples", "1"],
+    "invariants": ["a2.json", '{"terms": {"0": {"proj": [1, 0]}}}'],
+    "verify-certificate": ["a2.json", _leaf_cert()],
+    "ghost": ["a2.json", "a2_s0.json", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_CASES))
+def test_every_option_is_read_by_its_handler(command, tmp_path, capsys):
+    """Each option of a subcommand is read by its handler, directly or
+    through _envelope and _emit.  The range checks in main do not count:
+    checking an option that nothing uses is no use of it."""
+    parser = findim.cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(OPTION_CASES)
+    argv = [command] + _paths(OPTION_CASES[command], tmp_path)
+    args = parser.parse_args(argv + ["--json", str(tmp_path / "report.json")], namespace=_Reads())
+    args._names = set()
+    assert args.func(args) == 0
+    options = [a for a in subparsers.choices[command]._actions if a.option_strings and a.dest != "help"]
+    assert [a.option_strings[0] for a in options if a.dest not in args._names] == []
 
 
 def _findim_limited(*argv):

@@ -115,10 +115,40 @@ def test_identity_of_noncontractible_complex_has_no_homotopy():
 def test_stupid_truncation():
     a = a2()
     x = res_s0(a)
-    assert stupid_truncate(x, "ge", 0).support == [0]
-    assert stupid_truncate(x, "le", -1).support == [-1]
-    with pytest.raises(ValueError):
-        stupid_truncate(x, "between", 0)
+    assert stupid_truncate(x, lo=0).support == [0]
+    assert stupid_truncate(x, hi=-1).support == [-1]
+    # both bounds at once, and None ends, on a resolution in degrees -4..0
+    q = resolution_complex(dual_numbers().simple(0), 5)
+    assert stupid_truncate(q).support == q.support == [-4, -3, -2, -1, 0]
+    assert stupid_truncate(q, None, -3).support == [-4, -3]
+    assert stupid_truncate(q, -1, None).support == [-1, 0]
+    w = stupid_truncate(q, -3, -1)
+    assert w.support == [-3, -2, -1] and sorted(w.diffs) == [-3, -2]
+    assert all(w.terms[n] is q.terms[n] and w.proj_verts[n] == q.proj_verts[n] for n in w.terms)
+    assert all(w.diffs[n] is q.diffs[n] for n in w.diffs)
+    assert w == Complex(q.algebra, w.terms, {n: q.diffs[n] for n in (-3, -2)}, q.proj_verts)
+    assert stupid_truncate(q, 1, 3).is_zero_complex and stupid_truncate(q, -1, -2).is_zero_complex
+
+
+def test_resolution_complex_holds_the_remembered_steps():
+    """resolution_complex(m, k) reads the first k steps of
+    resolution_steps(m), the very objects, computes no step past them,
+    and stops with the resolution when that is shorter."""
+    for m, k, support in (
+        (dual_numbers().simple(0), 3, [-2, -1, 0]),
+        (nakayama3().simple(0), 6, [-5, -4, -3, -2, -1, 0]),
+        (a2().simple(0), 5, [-1, 0]),
+        (a2().zero_module(), 2, []),
+    ):
+        x = resolution_complex(m, k)
+        assert x.support == support
+        assert len(getattr(m, "_resolution").steps) == len(support)
+        steps = list(itertools.islice(resolution_steps(m), k))
+        assert len(steps) == len(support)
+        for j, (proj, verts, d, _) in enumerate(steps):
+            assert x.terms[-j] is proj and x.proj_verts[-j] == tuple(verts)
+            assert x.diffs.get(-j) is (d if j > 0 else None)
+        assert sorted(x.diffs) == support[:-1]
 
 
 def test_direct_sum_empty_is_zero():
@@ -148,10 +178,9 @@ def test_hom_complex_ext_dual_numbers():
     a = dual_numbers()
     s = a.simple(0)
     # truncated resolution of the simple: exts in every degree of the window
-    steps = zip(range(4), resolution_steps(s))
-    q = resolution_complex(a, [(proj, verts, d) for _, (proj, verts, d, _) in steps])
+    q = resolution_complex(s, 4)
     assert q.support == [-3, -2, -1, 0]
-    hc = HomComplex(stupid_truncate(q, "ge", 0), stalk_complex(s, 0))
+    hc = HomComplex(stupid_truncate(q, lo=0), stalk_complex(s, 0))
     assert hc.cohomology_dims() == {0: 1}
 
 
@@ -237,18 +266,16 @@ def _diff_by_unit_columns(hc, n):
     return [list(row) for row in zip(*columns)] if cols else [[] for _ in range(hc.dim(n + 1))]
 
 
-def _window(m, length):
-    """The first `length` terms of the minimal resolution of m."""
-    steps = itertools.islice(resolution_steps(m), length)
-    return resolution_complex(m.algebra, [(p, v, d) for p, v, d, _ in steps])
-
-
 def _sample_pairs(alg, seed):
     rng = random.Random(seed)
     nv = alg.num_vertices
     # w has nonzero differentials between terms of several summands
     w = direct_sum(
-        alg, [_window(alg.simple(seed % nv), 3), shift(_window(random_module(alg, rng), 2), 1)]
+        alg,
+        [
+            resolution_complex(alg.simple(seed % nv), 3),
+            shift(resolution_complex(random_module(alg, rng), 2), 1),
+        ],
     )
     single = projsum_complex(alg, (0, nv - 1, 0), degree=1)
     stalks = [stalk_complex(alg.simple(i), 0) for i in range(nv)]
@@ -292,7 +319,7 @@ def _minimal_resolution_complex(m):
     try:
         return resolve_to_perfect(m, 4)
     except ResolutionCutoffError:
-        return _window(m, 4)
+        return resolution_complex(m, 4)
 
 
 def _check_tops(m):
@@ -610,7 +637,7 @@ def _cone_reference(f):
                 [Matrix.zeros(fld, dx.mats[v].rows, dy.mats[v].cols), -dx.mats[v]],
                 rows=dx.mats[v].rows,
             )
-            mats.append(Matrix.vstack(fld, [top, bot], cols=terms[n].dims[v]))
+            mats.append(Matrix(fld, top.rows + bot.rows, terms[n].dims[v], top.data + bot.data))
         diffs[n] = ModuleMap(terms[n], terms[n + 1], mats, check=False)
     pv = None
     if x.proj_verts is not None and y.proj_verts is not None:

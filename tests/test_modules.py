@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -22,7 +24,8 @@ from findim import (
     random_module,
     syzygy,
 )
-from findim.linalg import complement_columns, rank, solve_matrix
+from findim.complexes import _basis_of
+from findim.linalg import complement_columns, kernel_basis, rank, solve_matrix
 from findim.modules import (
     direct_sum_modules,
     kernel_of,
@@ -449,6 +452,31 @@ def test_lazy_resolution_of_zero_module_yields_nothing():
     a = a2()
     assert list(resolution_steps(a.zero_module())) == []
     assert list(resolution_steps(Module(a, [0, 0], {}))) == []
+
+
+def _memos(obj):
+    return sorted(k for k in vars(obj) if k.startswith("_"))
+
+
+def test_copies_of_modules_and_maps_leave_their_memos_behind():
+    """A copy carries no remembered resolution or basis: an edit of the
+    copy is answered from its own content, never from the original's."""
+    a = a2()
+    p = a.projective(0)
+    assert proj_dim(p, 5).describe() == "Finite(0)"
+    m = copy.deepcopy(p)
+    m.arrow_mats["a"].data[0][0] = 0  # m is now S_0 + S_1
+    assert proj_dim(m, 5).describe() == "Finite(1)"
+    fresh = Module(m.algebra, [1, 1], {"a": Matrix(m.algebra.field, 1, 1, [[0]])})
+    assert proj_dim(fresh, 5).describe() == "Finite(1)"
+    d = next(itertools.islice(resolution_steps(a.simple(0)), 1, None))[2]
+    _basis_of(d, 1, kernel_basis)
+    assert _memos(p) == ["_resolution"] and _memos(d) == ["_bases"]
+    for obj in (p, d):
+        for c in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert _memos(c) == [] and type(c) is type(obj)
+    q = pickle.loads(pickle.dumps(p))
+    assert q.dims == p.dims and q.arrow_mats["a"].data == p.arrow_mats["a"].data
 
 
 def test_lazy_resolution_covers_each_step_once(monkeypatch):

@@ -141,3 +141,16 @@ def test_proj_terms_build_only_their_projectives():
     x = complex_from_json(a, {"terms": {"0": {"proj": [0, 2, 0]}}})
     assert x.terms[0].dims == [0, 2, 2]
     assert set(a._proj_cache) == {1}
+
+
+def test_degree_keys_are_read_only_as_str_writes_them():
+    a = a2()
+    p0 = {"proj": [1, 0]}
+    for key in ("+0", "-0", " 0", "0 ", "00", "1_0", "--1", "-", "", "None", "٣"):
+        with pytest.raises(ParseError, match="degree key"):
+            complex_from_json(a, {"terms": {key: p0}})
+    x = complex_from_json(a, {"terms": {"-10": p0, "7": p0}})
+    assert x.support == [-10, 7]
+    with pytest.raises(ParseError, match="degree key"):
+        chain_map_from_json(x, x, {"+7": [[[1]], [[1]]]})
+    assert chain_map_from_json(x, x, {"7": [[[1]], [[1]]]}).comps.keys() == {7}
