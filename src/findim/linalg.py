@@ -305,7 +305,7 @@ class Matrix:
         nr = mats[0].rows
         if any(m.rows != nr for m in mats):
             raise ValueError("row count mismatch in hstack")
-        data = [sum((m.data[i] for m in mats), []) for i in range(nr)]
+        data = [sum(rows, []) for rows in zip(*(m.data for m in mats))]
         return Matrix._of(field, nr, sum(m.cols for m in mats), data)
 
     @staticmethod
@@ -408,8 +408,14 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     return x
 
 
-def kernel_basis(a: Matrix) -> Matrix:
-    """Matrix whose columns form a basis of the null space of ``a``."""
+def _null_space(a: Matrix) -> Tuple[Matrix, List[int]]:
+    """The kernel basis of ``a`` with its free columns, in increasing order.
+
+    Column k of the basis is one at row free[k] and zero at the other free
+    rows, so the rows ``free`` of the basis form an identity matrix: the
+    coordinates of a kernel vector in this basis are its entries at the
+    free rows.
+    """
     f = a.field
     red, pivots = rref(a)
     free = [c for c in range(a.cols) if c not in pivots]
@@ -420,7 +426,13 @@ def kernel_basis(a: Matrix) -> Matrix:
         for r, pc in enumerate(pivots):
             v[pc] = f.neg(red.data[r][fc])
         cols.append(v)
-    return Matrix._of(f, a.cols, len(cols), [[c[i] for c in cols] for i in range(a.cols)])
+    basis = Matrix._of(f, a.cols, len(cols), [[c[i] for c in cols] for i in range(a.cols)])
+    return basis, free
+
+
+def kernel_basis(a: Matrix) -> Matrix:
+    """Matrix whose columns form a basis of the null space of ``a``."""
+    return _null_space(a)[0]
 
 
 def complement_columns(span: Matrix, cands: Matrix) -> List[int]:

@@ -14,12 +14,14 @@ cheap and canonical.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
     Matrix,
     _invertible_mod_p,
+    _null_space,
     column_space_basis,
     complement_columns,
     kernel_basis,
@@ -262,7 +264,7 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
                         row[var(j, r, k)] = f.sub(row[var(j, r, k)], ma.data[k][c])
                 if any(x != 0 for x in row):
                     rows.append(row)
-    sys_mat = Matrix(f, len(rows), nvars, rows)
+    sys_mat = Matrix._of(f, len(rows), nvars, rows)
     kb = kernel_basis(sys_mat)
     basis = []
     for col in range(kb.cols):
@@ -271,7 +273,7 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
         for v in range(nv):
             d_n, d_m = n.dims[v], m.dims[v]
             mats.append(
-                Matrix(
+                Matrix._of(
                     f,
                     d_n,
                     d_m,
@@ -317,23 +319,36 @@ def map_from_generator_images(
     algebra, verts: Sequence[int], target: Module, images: Sequence[Sequence]
 ) -> ModuleMap:
     """The unique map from the projective sum sending each generator e_{i_k}
-    to the given vector in the target fiber at i_k."""
+    to the given vector in the target fiber at i_k.
+
+    The column of a basis path is the image vector moved along the path's
+    arrows one at a time; paths that start with the same arrows share the
+    vectors of that prefix.
+    """
     src, offsets = projsum_module(algebra, verts)
     f = algebra.field
     nv = algebra.num_vertices
+    arrows = [target.arrow_mats[a.id] for a in algebra.quiver.arrows]
     mats = [Matrix.zeros(f, target.dims[v], src.dims[v]) for v in range(nv)]
     for k, i in enumerate(verts):
-        img = list(images[k])
+        img = [f.coerce(x) for x in images[k]]
         if len(img) != target.dims[i]:
             raise ValueError(f"generator image {k} has wrong length")
+        moved = {(): img}  # arrow sequence -> the image moved along it
         for v in range(nv):
-            fiber = algebra.basis_by_pair.get((i, v), [])
-            for pos, bidx in enumerate(fiber):
-                path = algebra.basis_path(bidx)
-                vec = target.act_path(path).apply(img)
-                colidx = offsets[k][v] + pos
-                for r in range(target.dims[v]):
-                    mats[v].data[r][colidx] = vec[r]
+            rows = mats[v].data
+            for pos, bidx in enumerate(algebra.basis_by_pair.get((i, v), [])):
+                path = algebra.basis_path(bidx)[1]
+                n = len(path)
+                while path[:n] not in moved:
+                    n -= 1
+                vec = moved[path[:n]]
+                for a in path[n:]:
+                    n += 1
+                    vec = moved[path[:n]] = arrows[a].apply(vec)
+                col = offsets[k][v] + pos
+                for row, e in zip(rows, vec):
+                    row[col] = e
     return ModuleMap(src, target, mats, check=False)
 
 
@@ -397,18 +412,22 @@ def projective_cover(m: Module) -> Tuple[Module, ModuleMap, List[int]]:
     """Minimal projective cover (P, P -> M, vertex list of the summands).
 
     P is the projective sum with one summand Ae_v per basis vector of the
-    top of M at v; the map hits chosen lifts of a basis of the top.
+    top of M at v; the map hits chosen lifts of a basis of the top: each
+    standard basis vector of M at v that is outside the span of the images
+    of the arrows into v and of the standard vectors before it.  One rref
+    of [arrows into v | identity] picks them, as the radical's span alone
+    decides which columns past the arrows are pivots.
     """
     if m.is_zero():
         raise ValueError("zero module has no projective cover here")
     alg = m.algebra
     f = alg.field
-    rad = radical_basis(m)
     verts: List[int] = []
     images: List[List] = []
     for v in range(alg.num_vertices):
+        into = [m.arrow_mats[a.id] for a in alg.quiver.arrows if a.target == v]
         eye = Matrix.identity(f, m.dims[v])
-        for e in complement_columns(rad[v], eye):
+        for e in complement_columns(Matrix.hstack(f, into, rows=m.dims[v]), eye):
             verts.append(v)
             images.append(eye.col(e))
     cover = map_from_generator_images(alg, verts, m, images)
@@ -416,18 +435,24 @@ def projective_cover(m: Module) -> Tuple[Module, ModuleMap, List[int]]:
 
 
 def kernel_of(f_map: ModuleMap) -> Tuple[Module, ModuleMap]:
-    """Kernel of a module map as a representation, with its inclusion."""
+    """Kernel of a module map as a representation, with its inclusion.
+
+    The kernel basis at each vertex is the identity on its free rows, so
+    the coordinates of a kernel vector are its entries there: an arrow of
+    the kernel is the free rows of the arrow times the basis at its
+    source.  The map is a module map exactly when the basis at the target
+    times those rows gives the moved basis back.
+    """
     alg = f_map.source.algebra
-    fld = alg.field
     nv = alg.num_vertices
-    kbs = [kernel_basis(f_map.mats[v]) for v in range(nv)]
-    dims = [kbs[v].cols for v in range(nv)]
+    kbs, frees = zip(*(_null_space(f_map.mats[v]) for v in range(nv)))
+    dims = [kb.cols for kb in kbs]
     mats = {}
     for a in alg.quiver.arrows:
         i, j = a.source, a.target
         moved = f_map.source.arrow_mats[a.id] @ kbs[i]
-        x = solve_matrix(kbs[j], moved)
-        if x is None:
+        x = moved.submatrix(frees[j], range(moved.cols))
+        if kbs[j] @ x != moved:
             raise RuntimeError("kernel is not arrow-stable; inconsistent map")
         mats[a.id] = x
     ker = Module(alg, dims, mats, check=False)
@@ -494,23 +519,37 @@ def quotient_module(m: Module, sub: Sequence[Matrix]) -> Tuple[Module, ModuleMap
 # -- isomorphism testing -----------------------------------------------------
 
 
+# how many random candidates are tried before the exhaustive search
+_WITNESS_TRIES = 16
+
+
 def modules_isomorphic(
     m: Module, n: Module, search_bound: int = 2**16
 ) -> Optional[bool]:
-    """Exhaustive invertibility search in Hom(m, n) over a finite field.
+    """Invertibility search in Hom(m, n) over a finite field.
 
     Returns True/False when decided, None when the number of candidates
     p^dim Hom exceeds search_bound or the field is infinite.
 
     With b_0, ..., b_{k-1} the basis of hom_space(m, n), the candidate for
     idx = 1, ..., p^k - 1 is sum_j c_j b_j, where c_j is the j-th base-p
-    digit of idx (c_0 the lowest); the first invertible one decides True.
-    The candidate is kept as a flat list of ints mod p and updated in place:
-    from idx to idx + 1 every digit that changes goes up by 1 mod p (the
-    low digits wrap from p-1 to 0, the carry digit grows), so the nonzero
-    entries of b_j are added once for each changed digit j, about p/(p-1)
-    additions of a basis map per candidate.  Each fibre block is then
-    tested by elimination mod p, stopping at the first singular one.
+    digit of idx (c_0 the lowest).  Witnesses come first: at most
+    min(_WITNESS_TRIES, p^k - 1) candidates at indices drawn by a
+    ``random.Random`` of fixed seed, and the first invertible one decides
+    True.  A random element of a Hom space that holds an isomorphism is
+    invertible with a probability bounded below by the Schwartz-Zippel
+    lemma, so isomorphic pairs are mostly decided after a few tests.  Then
+    the exhaustive search runs over every idx in order, so each answer is
+    the same as without the witnesses: True exactly when some candidate is
+    invertible.
+
+    The exhaustive candidate is kept as a flat list of ints mod p and
+    updated in place: from idx to idx + 1 every digit that changes goes up
+    by 1 mod p (the low digits wrap from p-1 to 0, the carry digit grows),
+    so the nonzero entries of b_j are added once for each changed digit j,
+    about p/(p-1) additions of a basis map per candidate.  Each fibre
+    block is then tested by elimination mod p, stopping at the first
+    singular one.
     """
     if m.dims != n.dims:
         return False
@@ -535,9 +574,28 @@ def modules_isomorphic(
     for b in basis:
         flat = [e for mat in b.mats for row in mat.data for e in row]
         steps.append([(i, e) for i, e in enumerate(flat) if e])
+    count = p ** len(basis)
+
+    def invertible(cand):
+        return all(
+            _invertible_mod_p([cand[s : s + d] for s in range(o, o + d * d, d)], p)
+            for o, d in blocks
+        )
+
+    rng = random.Random(0)
+    for _ in range(min(_WITNESS_TRIES, count - 1)):
+        idx = rng.randrange(1, count)
+        cand = [0] * size
+        for step in steps:
+            idx, c = divmod(idx, p)
+            if c:
+                for i, x in step:
+                    cand[i] += c * x
+        if invertible([x % p for x in cand]):
+            return True
     cand = [0] * size
     digits = [0] * len(basis)
-    for _ in range(1, p ** len(basis)):
+    for _ in range(1, count):
         j = 0
         while digits[j] == p - 1:
             digits[j] = 0
@@ -547,10 +605,7 @@ def modules_isomorphic(
         digits[j] += 1
         for i, x in steps[j]:
             cand[i] = (cand[i] + x) % p
-        if all(
-            _invertible_mod_p([cand[s : s + d] for s in range(o, o + d * d, d)], p)
-            for o, d in blocks
-        ):
+        if invertible(cand):
             return True
     return False
 
@@ -672,7 +727,8 @@ def minimal_resolution(m: Module, cutoff: int) -> ResolutionReport:
 
     Status is Finite(n) when the n-th syzygy vanishes with n <= cutoff; a
     pair of isomorphic syzygies upgrades AtLeastCutoff to a periodicity
-    proof of infinite projective dimension.
+    proof of infinite projective dimension.  Syzygies are compared only
+    over GF(p): over Q the search never answers True.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -690,6 +746,8 @@ def minimal_resolution(m: Module, cutoff: int) -> ResolutionReport:
         if ker.is_zero():
             status = PdResult("finite", k)
             break
+        if m.algebra.field.is_rational:
+            continue  # the search answers only None or False over Q
         j = next(
             (j for j, old in enumerate(syzygies) if modules_isomorphic(old, ker)),
             None,

@@ -1,11 +1,16 @@
 import itertools
+import json
+import os
 
 import pytest
 
 import findim
 from findim import GF, QQ, NotFiniteDimensionalError, Quiver, Relation, algebras, build_algebra
 from findim.algebras import BudgetExceededError
-from util import a2, dual_numbers, k_algebra, nakayama3
+from findim.serialize import algebra_from_json, field_to_json
+from util import a2, dual_numbers, k_algebra, linear4, nakayama3
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "data")
 
 
 def test_base_field_algebra():
@@ -59,6 +64,53 @@ def test_path_enumeration_stops_at_the_first_empty_length():
     assert len(algebras._enumerate_paths(q, 10**5)) == 2
     wide = build_algebra(q, [], GF(2), 10**5)
     assert wide.basis_by_pair == a2().basis_by_pair
+
+
+def _data_algebras():
+    """The algebra documents of data/, by file name."""
+    out = []
+    for fname in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, fname)) as fh:
+            doc = json.load(fh)
+        if "vertices" in doc:
+            out.append((fname, doc))
+    return out
+
+
+def _linear5(field):
+    """The linear quiver on 5 vertices with rad^2 = 0."""
+    q = Quiver(5, [(f"a{k}", k, k + 1) for k in range(4)])
+    rels = [Relation(q, [(1, [f"a{k}", f"a{k + 1}"])]) for k in range(3)]
+    return build_algebra(q, rels, field, 3)
+
+
+def _basis_paths(alg):
+    return [alg.basis_path(k) for k in range(alg.dim)]
+
+
+FIELDS = [GF(2), GF(3), QQ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("fname, doc", _data_algebras(), ids=[f for f, _ in _data_algebras()])
+def test_data_algebra_basis_is_stable_as_max_len_grows(fname, doc, field):
+    """The basis paths at the document's max_len are those at max_len + 6:
+    the window already holds every path that is not zero in the algebra."""
+    doc = dict(doc, field=field_to_json(field))
+    wider = dict(doc, max_len=doc["max_len"] + 6)
+    assert _basis_paths(algebra_from_json(doc)) == _basis_paths(algebra_from_json(wider))
+
+
+# the algebra kinds the benchmark runs on (make_algebra in perfbench/workloads.py)
+BENCHMARK_KINDS = [a2, dual_numbers, nakayama3, linear4, _linear5]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("build", BENCHMARK_KINDS, ids=lambda b: b.__name__)
+def test_benchmark_algebra_basis_is_stable_as_max_len_grows(build, field):
+    alg = build(field)
+    wider = build_algebra(alg.quiver, alg.relations, field, alg.max_len + 6)
+    assert _basis_paths(alg) == _basis_paths(wider)
 
 
 def test_commutative_truncated_polynomials_within_budget():

@@ -220,6 +220,15 @@ def test_huge_max_len_on_an_acyclic_quiver(tmp_path):
     assert "Finite(1)" in proc.stdout
 
 
+def test_long_resolution_over_q_runs_no_search():
+    """3,000 syzygies of the simple over the dual numbers over Q: each is
+    isomorphic to the one before, but over Q no search can prove it, so the
+    resolution compares none of them and answers within the time limit."""
+    proc = _findim_limited("pd", data("dual_numbers.json"), data("dn_simple.json"), "--field", "Q", "--cutoff", "3000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "proj_dim: AtLeastCutoff"
+
+
 def test_huge_vertex_count_exit_3(tmp_path):
     """10^9 vertices are more trivial paths than the path budget allows,
     which is checked before any path is listed."""

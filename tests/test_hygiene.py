@@ -1,5 +1,5 @@
-"""Static hygiene of the library source: no unused imports and no unused
-private helpers.
+"""Static hygiene of the library source: no unused imports, no unused
+private helpers, and no draws from the shared generator of ``random``.
 
 A stdlib ``ast`` scan of every module in src/findim except the package
 ``__init__.py``, whose imports are its re-exports.  An imported name counts
@@ -7,6 +7,9 @@ as used when it appears as a name anywhere in the module, including inside
 string annotations.  A private module-level function or class (one name
 with a single leading underscore) counts as used when some module of the
 package names it, as a name or an attribute, outside its own definition.
+Random choices come from ``random.Random`` instances with a seed, never
+from the module-level functions of ``random``, whose shared state any
+caller can reseed or advance.
 """
 
 import ast
@@ -99,3 +102,50 @@ def unreferenced_private_helpers():
 def test_no_unreferenced_private_helpers():
     found = [f"src/findim/{f}:{line}: {name}" for f, line, name in unreferenced_private_helpers()]
     assert not found, "private helpers nothing refers to:\n" + "\n".join(found)
+
+
+def shared_random_calls(path):
+    """(line, name) for each name of ``random`` other than the ``Random``
+    class that the module imports or reads, called or not."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            out += [(node.lineno, a.name) for a in node.names if a.name != "Random"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "random"
+            and node.attr != "Random"
+        ):
+            out.append((node.lineno, "random." + node.attr))
+    return sorted(out)
+
+
+def test_no_shared_random_state():
+    found = []
+    for fname in _sources():
+        for line, name in shared_random_calls(os.path.join(SRC, fname)):
+            found.append(f"src/findim/{fname}:{line}: {name}")
+    assert not found, "calls to the shared generator of random:\n" + "\n".join(found)
+
+
+def test_shared_random_calls_are_found(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "import random\n"
+        "from random import Random, shuffle\n"
+        "rng = random.Random(3)\n"
+        "x = random.randrange(5)\n"
+        "random.seed(1)\n"
+        "f = random.random\n"
+        "def g(r: random.Random):\n"
+        "    return r.random()\n"
+    )
+    assert shared_random_calls(str(src)) == [
+        (2, "shuffle"),
+        (4, "random.randrange"),
+        (5, "random.seed"),
+        (6, "random.random"),
+    ]

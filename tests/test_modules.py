@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import findim.modules
 from findim import (
     GF,
     QQ,
@@ -266,6 +267,103 @@ def test_quotient_module_matches_reference(build, field):
     assert proper
 
 
+def _kernel_of_reference(f_map):
+    """kernel_of with each arrow solved against the kernel basis at its
+    target."""
+    alg = f_map.source.algebra
+    kbs = [kernel_basis(f_map.mats[v]) for v in range(alg.num_vertices)]
+    mats = {}
+    for a in alg.quiver.arrows:
+        x = solve_matrix(kbs[a.target], f_map.source.arrow_mats[a.id] @ kbs[a.source])
+        if x is None:
+            raise RuntimeError("kernel is not arrow-stable; inconsistent map")
+        mats[a.id] = x
+    ker = Module(alg, [kb.cols for kb in kbs], mats, check=False)
+    return ker, ModuleMap(ker, f_map.source, kbs, check=False)
+
+
+def _map_from_generator_images_reference(alg, verts, target, images):
+    """map_from_generator_images with one path-action matrix per basis path."""
+    src, offsets = projsum_module(alg, verts)
+    mats = [Matrix.zeros(alg.field, target.dims[v], src.dims[v]) for v in range(alg.num_vertices)]
+    for k, i in enumerate(verts):
+        for v in range(alg.num_vertices):
+            for pos, bidx in enumerate(alg.basis_by_pair.get((i, v), [])):
+                vec = target.act_path(alg.basis_path(bidx)).apply(images[k])
+                for r in range(target.dims[v]):
+                    mats[v].data[r][offsets[k][v] + pos] = vec[r]
+    return ModuleMap(src, target, mats, check=False)
+
+
+def _a4_path_algebra(field):
+    """The linear quiver 0 -> 1 -> 2 -> 3 with no relations: basis paths of
+    length up to three, where the rad^2 = 0 algebras stop at one."""
+    q = Quiver(4, [("a0", 0, 1), ("a1", 1, 2), ("a2", 2, 3)])
+    return build_algebra(q, [], field, 4)
+
+
+_REFERENCE_BUILDS = [a2, dual_numbers, nakayama3, linear4, _a4_path_algebra]
+_REFERENCE_FIELDS = [GF(2), GF(3), QQ]
+
+
+@pytest.mark.parametrize("field", _REFERENCE_FIELDS, ids=repr)
+@pytest.mark.parametrize("build", _REFERENCE_BUILDS, ids=lambda b: b.__name__)
+def test_kernel_of_matches_reference(build, field):
+    """Same dims, arrows and inclusion, entry for entry and type for type,
+    on projective covers and random maps between random modules."""
+    alg = build(field)
+    rng = random.Random(29)
+    nonzero = 0
+    for _ in range(12):
+        m = random_module(alg, rng, max_gens=3)
+        n = random_module(alg, rng, max_gens=3)
+        maps = [_random_map(m, n, rng)]
+        if not m.is_zero():
+            maps.append(projective_cover(m)[1])
+        for f in maps:
+            ker, incl = kernel_of(f)
+            ref, rincl = _kernel_of_reference(f)
+            assert ker.dims == ref.dims
+            arrows = [a.id for a in alg.quiver.arrows]
+            same_mats([ker.arrow_mats[a] for a in arrows], [ref.arrow_mats[a] for a in arrows])
+            same_mats(incl.mats, rincl.mats)
+            nonzero += any(not ker.arrow_mats[a].is_zero() for a in arrows)
+    assert nonzero
+
+
+def test_kernel_of_refuses_a_map_that_is_not_a_module_map():
+    """P_0 -> S_1 on a2, one at vertex 1: the kernel at vertex 0 is all of
+    P_0 there, and the arrow moves it out of the kernel at vertex 1."""
+    a = a2()
+    p0, s1 = a.projective(0), a.simple(1)
+    assert p0.dims == [1, 1] and s1.dims == [0, 1]
+    f = ModuleMap(p0, s1, [Matrix.zeros(a.field, 0, 1), Matrix(a.field, 1, 1, [[1]])], check=False)
+    assert not f.commutes()
+    with pytest.raises(RuntimeError, match="arrow-stable"):
+        kernel_of(f)
+
+
+@pytest.mark.parametrize("field", _REFERENCE_FIELDS, ids=repr)
+@pytest.mark.parametrize("build", _REFERENCE_BUILDS, ids=lambda b: b.__name__)
+def test_map_from_generator_images_matches_reference(build, field):
+    """Same matrices, entry for entry and type for type, for random
+    generator images in random modules, given as plain ints that the field
+    still has to read (negative ones too)."""
+    alg = build(field)
+    rng = random.Random(31)
+    nonzero = 0
+    for _ in range(12):
+        target = random_module(alg, rng, max_gens=3)
+        verts = [rng.randrange(alg.num_vertices) for _ in range(rng.randint(1, 3))]
+        images = [[rng.randrange(-3, 4) for _ in range(target.dims[i])] for i in verts]
+        got = map_from_generator_images(alg, verts, target, images)
+        ref = _map_from_generator_images_reference(alg, verts, target, images)
+        same_mats(got.mats, ref.mats)
+        assert got.commutes()
+        nonzero += not got.is_zero()
+    assert nonzero
+
+
 def test_modules_isomorphic_negative():
     a = a2()
     assert modules_isomorphic(a.simple(0), a.simple(1)) is False
@@ -373,14 +471,53 @@ def test_iso_search_matches_reference(p):
     assert _reference_isomorphic(r10, r01) is False
 
 
-def test_iso_search_heavy_case():
-    # End(S_0^4) on nakayama3 over GF(2) has dimension 16: the search
-    # visits thousands of candidates before the first invertible one
+def test_iso_search_heavy_case(monkeypatch):
+    # End(S_0^4) on nakayama3 over GF(2) has dimension 16: the exhaustive
+    # search tests thousands of candidates before the first invertible one,
+    # where about 31% of random candidates (those of GL_4(2) in M_4(2)) are
+    # invertible, so the random witnesses decide after a few tests
     a = nakayama3()
     s4, _ = direct_sum_modules(a, [a.simple(0)] * 4)
     c = _conjugate(s4, random.Random(0))
     assert len(hom_space(s4, c)) == 16
+    tests = []
+    invertible = findim.modules._invertible_mod_p
+
+    def counted(rows, p):
+        tests.append(p)
+        return invertible(rows, p)
+
+    monkeypatch.setattr(findim.modules, "_invertible_mod_p", counted)
     assert modules_isomorphic(s4, c) is True
+    assert 0 < len(tests) <= 32
+
+
+def test_no_iso_search_over_q(monkeypatch):
+    """Over Q the search can answer only None or False, so the resolution
+    does not run it; over GF(2) the same resolutions do."""
+    calls = []
+    search = findim.modules.modules_isomorphic
+
+    def counted(m, n):
+        calls.append((m, n))
+        return search(m, n)
+
+    monkeypatch.setattr(findim.modules, "modules_isomorphic", counted)
+    rng = random.Random(37)
+    for field in (QQ, GF(2)):
+        calls.clear()
+        for build in (dual_numbers, nakayama3, linear4):
+            alg = build(field)
+            mods = [alg.simple(v) for v in range(alg.num_vertices)]
+            mods += [random_module(alg, rng) for _ in range(4)]
+            for m in mods:
+                minimal_resolution(m, 6)
+        assert (len(calls) > 0) == (field == GF(2))
+    # the dual numbers over Q: undecided at the cutoff, with no search
+    alg = dual_numbers(QQ)
+    calls.clear()
+    assert minimal_resolution(alg.simple(0), 8).status.kind == "at_least_cutoff"
+    assert calls == []
 
 
 # -- the lazy resolution shared by every consumer ---------------------------
