@@ -137,8 +137,8 @@ class FDAlgebra:
             p = self._paths[c]
             self.basis_by_pair.setdefault((p[0], self.path_target(p)), []).append(k)
         self._proj_cache: Dict[int, Module] = {}
-        # vertex tuple -> (projective sum, per-summand offsets), see projsum_module
-        self._projsum_cache: Dict[Tuple[int, ...], Tuple[Module, List[List[int]]]] = {}
+        # vertex tuple -> projective sum, see projsum_module
+        self._projsum_cache: Dict[Tuple[int, ...], Module] = {}
         self._zero_module: Optional[Module] = None
         self._opposite: Optional[FDAlgebra] = None
 
@@ -203,13 +203,15 @@ class FDAlgebra:
         mats = {}
         for b_idx, arrow in enumerate(self.quiver.arrows):
             j, l = arrow.source, arrow.target
-            m = Matrix.zeros(self.field, dims[l], dims[j])
+            columns = []
             row_of = {k: r for r, k in enumerate(fibers[l])}
-            for c, k in enumerate(fibers[j]):
+            for k in fibers[j]:
                 s, arrows = self.basis_path(k)
+                col = [self.field.zero()] * dims[l]
                 for k2, coeff in self.class_of_path((s, arrows + (b_idx,))).items():
-                    m.data[row_of[k2]][c] = coeff
-            mats[arrow.id] = m
+                    col[row_of[k2]] = coeff
+                columns.append(col)
+            mats[arrow.id] = Matrix._of_columns(self.field, dims[l], columns)
         mod = Module(self, dims, mats)
         self._proj_cache[i] = mod
         return mod
@@ -258,6 +260,14 @@ class FDAlgebra:
         op = self.opposite()
         mats = {aid: mat.transpose() for aid, mat in m.arrow_mats.items()}
         return Module(op, list(m.dims), mats)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        """The algebra itself: modules and complexes compare algebras by
+        identity, so a deep copy of one equals its original."""
+        return self
 
     def __repr__(self):
         return f"FDAlgebra(dim {self.dim} over {self.field}, {self.quiver})"
@@ -360,11 +370,9 @@ def _build_at_length(quiver: Quiver, relations, field: Field, n: int) -> dict:
                         )
                     rows.append(row)
 
-    mat = Matrix.zeros(field, len(rows), ncols)
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            mat.data[r][c] = v
-    red, pivots = rref(mat)
+    zero = field.zero()
+    data = tuple([tuple([row.get(c, zero) for c in range(ncols)]) for row in rows])
+    red, pivots = rref(Matrix._of(field, len(rows), ncols, data))
     pivot_set = set(pivots)
     basis_cols = [c for c in range(ncols) if c not in pivot_set]
     pivot_rows: Dict[int, List[Tuple[int, object]]] = {}

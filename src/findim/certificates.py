@@ -539,8 +539,8 @@ def minimize_perfect(x: Complex) -> Tuple[Complex, ChainMap]:
         sv, tv = cur.proj_verts[n], cur.proj_verts[n + 1]
         src, tgt = cur.term(n), cur.term(n + 1)
         new_sv, new_tv = sv[:g] + sv[g + 1 :], tv[:gp] + tv[gp + 1 :]
-        new_src, _ = projsum_module(algebra, new_sv)
-        new_tgt, _ = projsum_module(algebra, new_tv)
+        new_src = projsum_module(algebra, new_sv)
+        new_tgt = projsum_module(algebra, new_tv)
         ssplit = _split(algebra, sv, g, src.dims)
         tsplit = _split(algebra, tv, gp, tgt.dims)
         dn, at_n, at_n1 = [], [], []
@@ -553,8 +553,7 @@ def minimize_perfect(x: Complex) -> Tuple[Complex, ChainMap]:
             dn.append(d.submatrix(e, b) - d.submatrix(e, a) @ ainv_beta)
             # quasi-iso nxt -> cur: [-alpha^{-1} beta; id] at n, [0; id] at n+1
             comp = Matrix.identity(fld, d.cols).submatrix(range(d.cols), b)
-            comp.place(a, range(len(b)), -ainv_beta)
-            at_n.append(comp)
+            at_n.append(comp.with_block(a, range(len(b)), -ainv_beta))
             at_n1.append(Matrix.identity(fld, d.rows).submatrix(range(d.rows), e))
         diffs = {**cur.diffs, n: ModuleMap(new_src, new_tgt, dn, check=False)}
         if n - 1 in diffs:

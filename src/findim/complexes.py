@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
     Matrix,
+    _product,
     column_space_basis,
     kernel_basis,
     rank,
@@ -285,8 +286,7 @@ def stalk_complex(m: Module, degree: int = 0, verts: Optional[Sequence[int]] = N
 
 
 def projsum_complex(algebra, verts: Sequence[int], degree: int = 0) -> Complex:
-    mod, _ = projsum_module(algebra, verts)
-    return stalk_complex(mod, degree, verts=tuple(verts))
+    return stalk_complex(projsum_module(algebra, verts), degree, verts=tuple(verts))
 
 
 def shift(x: Complex, k: int) -> Complex:
@@ -307,10 +307,9 @@ def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
 
     When every summand carries descriptors, the term in degree n is the
     standard projective sum of the concatenated descriptors, taken from
-    `projsum_module`.  Every differential matrix is new, block diagonal in
-    the summands: each row of a summand's block is written into place
-    between zeros, and a summand with no differential in that degree
-    contributes zero rows.
+    `projsum_module`.  Every differential matrix is block diagonal in the
+    summands: each row of a summand's block is set between zeros, and a
+    summand with no differential in that degree contributes zero rows.
     """
     for x in xs:
         if x.algebra is not algebra:
@@ -323,10 +322,10 @@ def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
     if all(x.proj_verts is not None for x in xs):
         pv = {n: sum((tuple(x.proj_verts.get(n, ())) for x in xs), ()) for n in degs}
         for n in degs:
-            terms[n], _ = projsum_module(algebra, pv[n])
+            terms[n] = projsum_module(algebra, pv[n])
     else:
         for n in degs:
-            terms[n], _ = direct_sum_modules(algebra, [x.term(n) for x in xs])
+            terms[n] = direct_sum_modules(algebra, [x.term(n) for x in xs])
     diffs: Dict[int, ModuleMap] = {}
     for n in degs:
         if n + 1 not in terms:
@@ -339,12 +338,12 @@ def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
             c0 = 0
             for d, sdims, tdims in parts:
                 if d is None:
-                    data.extend([zero] * width for _ in range(tdims[v]))
+                    data.extend(((zero,) * width,) * tdims[v])
                 else:
-                    left, right = [zero] * c0, [zero] * (width - c0 - sdims[v])
-                    data.extend(left + row + right for row in d.mats[v].data)
+                    left, right = (zero,) * c0, (zero,) * (width - c0 - sdims[v])
+                    data.extend([left + row + right for row in d.mats[v].data])
                 c0 += sdims[v]
-            mats.append(Matrix._of(fld, tgt.dims[v], width, data))
+            mats.append(Matrix._of(fld, tgt.dims[v], width, tuple(data)))
         diffs[n] = ModuleMap(src, tgt, mats, check=False)
     return Complex(algebra, terms, diffs, proj_verts=pv, check=False)
 
@@ -353,15 +352,16 @@ def cone(f: ChainMap) -> Complex:
     """The mapping cone of f: X -> Y.
 
     cone^n = Y^n + X^{n+1}, differential [[d_Y, f^{n+1}], [0, -d_X^{n+1}]]:
-    the direct sum of Y and shift(X, 1), with f^{n+1} written into the
+    the direct sum of Y and shift(X, 1), with f^{n+1} set in the
     upper-right block of its differential at n.
     """
     y = f.target
     c = direct_sum(y.algebra, [y, shift(f.source, 1)])
     for n, fn in f.comps.items():
-        d, left = c.diffs[n - 1].mats, y.term(n - 1).dims
-        for v, block in enumerate(fn.mats):
-            d[v].place(range(block.rows), range(left[v], d[v].cols), block)
+        d, left = c.diffs[n - 1], y.term(n - 1).dims
+        blocks = zip(d.mats, fn.mats, left)
+        mats = [m.with_block(range(b.rows), range(l, m.cols), b) for m, b, l in blocks]
+        c.diffs[n - 1] = ModuleMap(d.source, d.target, mats, check=False)
     return c
 
 
@@ -400,35 +400,18 @@ def is_acyclic(x: Complex) -> bool:
     return not cohomology_dims(x)
 
 
-def _product(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b, without multiplying when a factor is an identity matrix."""
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch for product: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    if a.is_identity():
-        return b
-    if b.is_identity():
-        return a
-    return a @ b
-
-
 def _basis_of(d: ModuleMap, v: int, fn) -> Matrix:
-    """fn(d.mats[v]), remembered on d while that matrix keeps its entries.
+    """fn(d.mats[v]), remembered on d.
 
     The windows of one resolution share their differential objects, so a
-    basis is computed once per resolution; the entries are compared with
-    a copy on every lookup, so an in-place edit is never answered from
-    the cache.  The rows alone are compared: the shape of d.mats[v] is
-    fixed by the dimensions of d's source and target.
+    basis is computed once per resolution.
     """
     cache = getattr(d, "_bases", None)
     if cache is None:
         cache = d._bases = {}
-    mat = d.mats[v]
-    hit = cache.get((fn, v))
-    if hit is not None and hit[0].data == mat.data:
-        return hit[1]
-    basis = fn(mat)
-    cache[(fn, v)] = (mat.copy(), basis)
+    basis = cache.get((fn, v))
+    if basis is None:
+        basis = cache[(fn, v)] = fn(d.mats[v])
     return basis
 
 
@@ -450,10 +433,8 @@ def induced_cohomology_zero(f: ChainMap) -> bool:
     whether ker d_X^n lies in im d_Y^{n-1}, for the windows of one
     resolution its exactness at n, the same in every window.  So that
     verdict is remembered on d_Y^{n-1}, one per vertex, beside its bases
-    and with the two basis objects it was read from, and reused only for
-    those very objects.  `_basis_of` hands back new objects after an
-    in-place edit of either differential, so an edit is never answered
-    from the memo.
+    and with the kernel basis it was read from: it is reused only beside
+    that very basis, that is, for the same d_X^n.
     """
     x, y = f.source, f.target
     for n in sorted(f.comps):
@@ -478,9 +459,9 @@ def induced_cohomology_zero(f: ChainMap) -> bool:
             # the verdict, kept in the cache that holds the bases of dy
             key = (_contains, v)
             hit = dy._bases.get(key)
-            if hit is None or hit[0] is not cycles or hit[1] is not bound:
-                hit = dy._bases[key] = (cycles, bound, _contains(bound, cycles))
-            if not hit[2]:
+            if hit is None or hit[0] is not cycles:
+                hit = dy._bases[key] = (cycles, _contains(bound, cycles))
+            if not hit[1]:
                 return False
     return True
 
@@ -590,7 +571,7 @@ class HomComplex:
                     blocks.append((k, d))
             self._blocks[n] = blocks
         # (degree of y, basis index) -> rows of y^degree.act_path(path)
-        self._act_cache: Dict[Tuple[int, int], List[List]] = {}
+        self._act_cache: Dict[Tuple[int, int], Tuple[Tuple, ...]] = {}
 
     def dim(self, n: int) -> int:
         return sum(d for _, d in self._blocks.get(n, []))
@@ -617,7 +598,7 @@ class HomComplex:
                 )
         return coords
 
-    def _act(self, deg: int, bidx: int) -> List[List]:
+    def _act(self, deg: int, bidx: int) -> Tuple[Tuple, ...]:
         key = (deg, bidx)
         rows = self._act_cache.get(key)
         if rows is None:
@@ -683,9 +664,9 @@ class HomComplex:
                         c0 += dims[i]
                     r0 += dims[j]
             col += d
-        if p is not None:
-            data = [[e % p for e in row] for row in data]
-        return Matrix._of(self.field, rows, cols, data)
+        for r, row in enumerate(data):  # one row at a time, to keep one copy
+            data[r] = tuple(row) if p is None else tuple([e % p for e in row])
+        return Matrix._of(self.field, rows, cols, tuple(data))
 
     def decode_block(self, n: int, k: int, coords: Sequence) -> ModuleMap:
         verts = self.x.proj_verts[k]

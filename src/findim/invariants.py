@@ -186,7 +186,7 @@ def random_module(algebra, rng: random.Random, max_gens: int = 2) -> Module:
     """A random quotient of a small projective sum by a radical submodule."""
     nv = algebra.num_vertices
     verts = tuple(rng.randrange(nv) for _ in range(rng.randint(1, max_gens)))
-    p, _ = projsum_module(algebra, verts)
+    p = projsum_module(algebra, verts)
     rad = radical_basis(p)
     gens = []
     for v in range(nv):

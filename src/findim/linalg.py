@@ -6,14 +6,15 @@ solve, and kernel bases.  No floating point anywhere; GF(p) elements are
 ints in [0, p), rational entries are ``fractions.Fraction``.
 
 Invariant: a ``Matrix`` holds canonical field elements (those two kinds
-only) in row lists that belong to it alone.  The public constructor
+only) in a tuple of tuple rows, so it cannot be edited once built, and its
+rows and the matrix itself may be shared freely: by the memos of other
+layers, by several results, and by copies (``copy.copy`` and
+``copy.deepcopy`` hand back the matrix itself).  The public constructor
 ``Matrix(field, rows, cols, data)`` establishes this for any input: it
-checks the shape, coerces every entry and copies every row.  Results built
-inside the library from canonical elements (here, and in the Hom
-complexes and direct sums of ``complexes``) go through the private
-``Matrix._of`` instead, which checks and copies nothing: it trusts that
-its data already holds canonical elements in freshly built rows, and
-takes ownership of them.  Over GF(p) the inner loops work on plain ints
+checks the shape and coerces every entry into new rows.  Results built
+inside the library from canonical elements go through the private
+``Matrix._of`` instead, which checks and converts nothing: its caller
+builds the tuple rows first.  Over GF(p) the inner loops work on plain ints
 and reduce once per entry per row operation (once per output entry in a
 product), the delayed reduction of FFLAS-FFPACK; over Q they use the same
 loops with ``Fraction`` arithmetic.
@@ -134,12 +135,13 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = [[field.coerce(x) for x in r] for r in data]
+        coerce = field.coerce
+        self.data = tuple([tuple([coerce(x) for x in r]) for r in data])
 
     @classmethod
-    def _of(cls, field: Field, rows: int, cols: int, data: List[List]) -> "Matrix":
-        """Trusted constructor: ``data`` must be rows x cols canonical
-        elements of ``field`` in row lists nothing else holds."""
+    def _of(cls, field: Field, rows: int, cols: int, data: Tuple[Tuple, ...]) -> "Matrix":
+        """Trusted constructor: ``data`` must be a tuple of ``rows`` tuples
+        of ``cols`` canonical elements of ``field``."""
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
@@ -147,23 +149,33 @@ class Matrix:
         m.data = data
         return m
 
+    @classmethod
+    def _of_columns(cls, field: Field, rows: int, columns: Sequence[Sequence]) -> "Matrix":
+        """Trusted constructor from columns of ``rows`` canonical elements."""
+        data = tuple(zip(*columns)) if columns else ((),) * rows
+        return cls._of(field, rows, len(columns), data)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls._of(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls._of(field, rows, cols, ((field.zero(),) * cols,) * rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        one = field.one()
+        zero, one = field.zero(), field.one()
+        data = []
         for i in range(n):
-            m.data[i][i] = one
-        return m
-
-    def copy(self) -> "Matrix":
-        return Matrix._of(self.field, self.rows, self.cols, [row[:] for row in self.data])
+            row = [zero] * n
+            row[i] = one
+            data.append(tuple(row))
+        return cls._of(field, n, n, tuple(data))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -177,44 +189,47 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, self.data))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         p = self.field.p
         pairs = zip(self.data, other.data)
         if p is None:
-            data = [[a + b for a, b in zip(ra, rb)] for ra, rb in pairs]
+            data = [tuple([a + b for a, b in zip(ra, rb)]) for ra, rb in pairs]
         else:
-            data = [[(a + b) % p for a, b in zip(ra, rb)] for ra, rb in pairs]
-        return Matrix._of(self.field, self.rows, self.cols, data)
+            data = [tuple([(a + b) % p for a, b in zip(ra, rb)]) for ra, rb in pairs]
+        return Matrix._of(self.field, self.rows, self.cols, tuple(data))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         p = self.field.p
         pairs = zip(self.data, other.data)
         if p is None:
-            data = [[a - b for a, b in zip(ra, rb)] for ra, rb in pairs]
+            data = [tuple([a - b for a, b in zip(ra, rb)]) for ra, rb in pairs]
         else:
-            data = [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in pairs]
-        return Matrix._of(self.field, self.rows, self.cols, data)
+            data = [tuple([(a - b) % p for a, b in zip(ra, rb)]) for ra, rb in pairs]
+        return Matrix._of(self.field, self.rows, self.cols, tuple(data))
 
     def __neg__(self) -> "Matrix":
         p = self.field.p
         if p is None:
-            data = [[-a for a in row] for row in self.data]
+            data = [tuple([-a for a in row]) for row in self.data]
         else:
-            data = [[-a % p for a in row] for row in self.data]
-        return Matrix._of(self.field, self.rows, self.cols, data)
+            data = [tuple([-a % p for a in row]) for row in self.data]
+        return Matrix._of(self.field, self.rows, self.cols, tuple(data))
 
     def scale(self, c) -> "Matrix":
+        """c times this matrix; the matrix itself when c is one."""
         c = self.field.coerce(c)
+        if c == 1:
+            return self
         p = self.field.p
         if p is None:
-            data = [[c * a for a in row] for row in self.data]
+            data = [tuple([c * a for a in row]) for row in self.data]
         else:
-            data = [[c * a % p for a in row] for row in self.data]
-        return Matrix._of(self.field, self.rows, self.cols, data)
+            data = [tuple([c * a % p for a in row]) for row in self.data]
+        return Matrix._of(self.field, self.rows, self.cols, tuple(data))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -223,24 +238,22 @@ class Matrix:
             )
         f = self.field
         p = f.p
-        z = f.zero()
+        zero = (f.zero(),) * other.cols
         bdata = other.data
         data = []
         for srow in self.data:
-            acc = [z] * other.cols
+            acc = zero
             for a, brow in zip(srow, bdata):
                 if a:
                     acc = [x + a * y for x, y in zip(acc, brow)]
-            data.append(acc if p is None else [x % p for x in acc])
-        return Matrix._of(f, self.rows, other.cols, data)
+            if acc is zero:
+                data.append(zero)
+            else:
+                data.append(tuple(acc) if p is None else tuple([x % p for x in acc]))
+        return Matrix._of(f, self.rows, other.cols, tuple(data))
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(
-            self.field,
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        return Matrix._of_columns(self.field, self.cols, self.data)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -275,21 +288,20 @@ class Matrix:
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The entries at these row and column indices, in the order given."""
-        data = []
-        for r in rows:
-            row = self.data[r]
-            data.append([row[c] for c in cols])
-        return Matrix._of(self.field, len(data), len(cols), data)
+        data = self.data
+        out = tuple([tuple([data[r][c] for c in cols]) for r in rows])
+        return Matrix._of(self.field, len(out), len(cols), out)
 
-    def place(self, rows: Sequence[int], cols: Sequence[int], block: "Matrix") -> None:
-        """Write ``block`` into this matrix at these row and column indices.
-
-        Only for a matrix under construction that nothing else holds yet.
-        """
+    def with_block(self, rows: Sequence[int], cols: Sequence[int], block: "Matrix") -> "Matrix":
+        """This matrix with ``block`` written at these row and column
+        indices; the rows outside the block are shared with this one."""
+        data = list(self.data)
         for r, brow in zip(rows, block.data):
-            out = self.data[r]
+            row = list(data[r])
             for c, e in zip(cols, brow):
-                out[c] = e
+                row[c] = e
+            data[r] = tuple(row)
+        return Matrix._of(self.field, self.rows, self.cols, tuple(data))
 
     def _check_same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -305,21 +317,20 @@ class Matrix:
         nr = mats[0].rows
         if any(m.rows != nr for m in mats):
             raise ValueError("row count mismatch in hstack")
-        data = [sum(rows, []) for rows in zip(*(m.data for m in mats))]
+        data = tuple([sum(rows, ()) for rows in zip(*(m.data for m in mats))])
         return Matrix._of(field, nr, sum(m.cols for m in mats), data)
 
     @staticmethod
     def block_diag(field: Field, mats: Sequence["Matrix"]) -> "Matrix":
-        rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        out = Matrix.zeros(field, rows, cols)
-        r0 = c0 = 0
+        zero = field.zero()
+        data = []
+        c0 = 0
         for m in mats:
-            for i in range(m.rows):
-                out.data[r0 + i][c0 : c0 + m.cols] = m.data[i][:]
-            r0 += m.rows
+            left, right = (zero,) * c0, (zero,) * (cols - c0 - m.cols)
+            data.extend([left + row + right for row in m.data])
             c0 += m.cols
-        return out
+        return Matrix._of(field, len(data), cols, tuple(data))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
@@ -328,22 +339,24 @@ class Matrix:
 # -- row reduction and friends ---------------------------------------------
 
 
-def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form with the strictly increasing pivot columns.
+def _eliminate(m: Matrix) -> Tuple[List[Sequence], List[int]]:
+    """The rows of the reduced row echelon form of m, with its strictly
+    increasing pivot columns, and no matrix built of them.
 
     Rows are processed in order and the first nonzero entry in a column is
     taken as pivot, so the result is deterministic for a given input.
     """
     f = m.field
     p = f.p
-    a = [row[:] for row in m.data]
+    a = list(m.data)
+    nrows = len(a)
     pivots: List[int] = []
     r = 0
     for c in range(m.cols):
-        if r == m.rows:
+        if r == nrows:
             break
         pr = None
-        for i in range(r, m.rows):
+        for i in range(r, nrows):
             if a[i][c]:
                 pr = i
                 break
@@ -366,11 +379,18 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
                     a[i] = [(x - t * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
-    return Matrix._of(f, m.rows, m.cols, a), pivots
+    return a, pivots
+
+
+def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form with the strictly increasing pivot columns,
+    by `_eliminate`; the callers that need only the pivots call that."""
+    a, pivots = _eliminate(m)
+    return Matrix._of(m.field, m.rows, m.cols, tuple(map(tuple, a))), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[List]:
@@ -383,13 +403,13 @@ def solve(a: Matrix, b: Sequence) -> Optional[List]:
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
     f = a.field
-    aug = Matrix._of(f, a.rows, a.cols + 1, [row + [f.coerce(x)] for row, x in zip(a.data, b)])
-    red, pivots = rref(aug)
+    aug = tuple([row + (f.coerce(x),) for row, x in zip(a.data, b)])
+    red, pivots = _eliminate(Matrix._of(f, a.rows, a.cols + 1, aug))
     if a.cols in pivots:
         return None
     x = [f.zero()] * a.cols
     for r, c in enumerate(pivots):
-        x[c] = red.data[r][a.cols]
+        x[c] = red[r][a.cols]
     return x
 
 
@@ -398,14 +418,13 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if b.rows != a.rows:
         raise ValueError("shape mismatch")
     f = a.field
-    aug = Matrix.hstack(f, [a, b])
-    red, pivots = rref(aug)
+    red, pivots = _eliminate(Matrix.hstack(f, [a, b]))
     if any(c >= a.cols for c in pivots):
         return None
-    x = Matrix.zeros(f, a.cols, b.cols)
+    x = [(f.zero(),) * b.cols] * a.cols
     for r, c in enumerate(pivots):
-        x.data[c] = red.data[r][a.cols :]
-    return x
+        x[c] = tuple(red[r][a.cols :])
+    return Matrix._of(f, a.cols, b.cols, tuple(x))
 
 
 def _null_space(a: Matrix) -> Tuple[Matrix, List[int]]:
@@ -417,17 +436,16 @@ def _null_space(a: Matrix) -> Tuple[Matrix, List[int]]:
     free rows.
     """
     f = a.field
-    red, pivots = rref(a)
+    red, pivots = _eliminate(a)
     free = [c for c in range(a.cols) if c not in pivots]
     cols = []
     for fc in free:
         v = [f.zero()] * a.cols
         v[fc] = f.one()
         for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.data[r][fc])
+            v[pc] = f.neg(red[r][fc])
         cols.append(v)
-    basis = Matrix._of(f, a.cols, len(cols), [[c[i] for c in cols] for i in range(a.cols)])
-    return basis, free
+    return Matrix._of_columns(f, a.cols, cols), free
 
 
 def kernel_basis(a: Matrix) -> Matrix:
@@ -443,15 +461,27 @@ def complement_columns(span: Matrix, cands: Matrix) -> List[int]:
     candidates before it, which are exactly the pivot columns of one rref
     of ``[span | cands]`` past ``span``.
     """
-    _, pivots = rref(Matrix.hstack(span.field, [span, cands], rows=span.rows))
+    _, pivots = _eliminate(Matrix.hstack(span.field, [span, cands], rows=span.rows))
     return [c - span.cols for c in pivots if c >= span.cols]
 
 
-def _invertible_mod_p(rows: Sequence[List[int]], p: int) -> bool:
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b, without multiplying when a factor is an identity matrix: the
+    other factor itself is the product."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch for product: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    if a.is_identity():
+        return b
+    if b.is_identity():
+        return a
+    return a @ b
+
+
+def _invertible_mod_p(rows: Sequence[Sequence[int]], p: int) -> bool:
     """Whether the square matrix with these int rows is invertible mod p.
 
     Forward elimination that stops at the first column without a pivot.
-    The row lists are read, never written.
+    The rows are read, never written.
     """
     a = list(rows)
     n = len(a)
@@ -474,5 +504,5 @@ def _invertible_mod_p(rows: Sequence[List[int]], p: int) -> bool:
 
 def column_space_basis(a: Matrix) -> Matrix:
     """Columns of ``a`` indexed by the pivot columns of its rref."""
-    _, pivots = rref(a)
+    _, pivots = _eliminate(a)
     return a.submatrix(range(a.rows), pivots)

@@ -22,6 +22,7 @@ from .linalg import (
     Matrix,
     _invertible_mod_p,
     _null_space,
+    _product,
     column_space_basis,
     complement_columns,
     kernel_basis,
@@ -32,9 +33,11 @@ from .linalg import (
 
 class _Memoized:
     """Base of the objects that remember answers on themselves, in
-    underscore attributes.  Copies and pickles leave those behind: a copy
-    that is then edited is never answered from the original's memos, and
-    no weak reference of a memo is copied."""
+    underscore attributes.  Copies and pickles leave those behind, so no
+    weak reference of a memo is copied and a copy computes its own answers.
+    A deep copy shares the algebra and the matrices of its original, which
+    are never edited, and so equals it; a pickled copy works over an
+    algebra of its own."""
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
@@ -82,7 +85,7 @@ class Module(_Memoized):
 
     def act_path(self, path) -> Matrix:
         """Matrix of the action of a path, from its source fiber to target;
-        for a single arrow, the module's own matrix, not to be edited."""
+        for a single arrow, the module's own matrix."""
         src, arrows = path
         if not arrows:
             return Matrix.identity(self.algebra.field, self.dims[src])
@@ -121,7 +124,7 @@ class ModuleMap(_Memoized):
             raise ValueError("source and target over different algebras")
         self.source = source
         self.target = target
-        self.mats = list(mats)
+        self.mats = tuple(mats)
         for v in range(source.algebra.num_vertices):
             m = self.mats[v]
             if (m.rows, m.cols) != (target.dims[v], source.dims[v]):
@@ -158,20 +161,12 @@ class ModuleMap(_Memoized):
     def compose(self, first: "ModuleMap") -> "ModuleMap":
         """self after first.
 
-        Every matrix is new: where a factor is an identity matrix,
-        recognised by its entries, the other factor is copied instead of
-        multiplied.
+        Where a factor is an identity matrix, recognised by its entries,
+        the other factor itself is the product.
         """
         if first.target is not self.source and first.target.dims != self.source.dims:
             raise ValueError("maps not composable")
-        mats = []
-        for a, b in zip(self.mats, first.mats):
-            if a.is_identity():
-                mats.append(b.copy())
-            elif b.is_identity():
-                mats.append(a.copy())
-            else:
-                mats.append(a @ b)
+        mats = map(_product, self.mats, first.mats)
         return ModuleMap(first.source, self.target, mats, check=False)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
@@ -210,21 +205,14 @@ class ModuleMap(_Memoized):
         return all(m.rows == m.cols and rank(m) == m.rows for m in self.mats)
 
 
-def direct_sum_modules(algebra, mods: Sequence[Module]) -> Tuple[Module, List[List[int]]]:
-    """Degreewise direct sum; returns (module, per-summand fiber offsets)."""
+def direct_sum_modules(algebra, mods: Sequence[Module]) -> Module:
+    """Degreewise direct sum, the summands' fibers in order."""
     f = algebra.field
-    nv = algebra.num_vertices
-    dims = [sum(m.dims[v] for m in mods) for v in range(nv)]
-    offsets: List[List[int]] = []
-    acc = [0] * nv
-    for m in mods:
-        offsets.append(acc[:])
-        for v in range(nv):
-            acc[v] += m.dims[v]
+    dims = [sum(m.dims[v] for m in mods) for v in range(algebra.num_vertices)]
     mats = {}
     for a in algebra.quiver.arrows:
         mats[a.id] = Matrix.block_diag(f, [m.arrow_mats[a.id] for m in mods])
-    return Module(algebra, dims, mats, check=False), offsets
+    return Module(algebra, dims, mats, check=False)
 
 
 # -- Hom spaces --------------------------------------------------------------
@@ -247,7 +235,7 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
     def var(v, r, c):
         return var_offset[v] + r * m.dims[v] + c
 
-    rows: List[List] = []
+    rows: List[Tuple] = []
     zero = f.zero()
     for a in alg.quiver.arrows:
         i, j = a.source, a.target
@@ -263,26 +251,15 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
                     if ma.data[k][c] != 0:
                         row[var(j, r, k)] = f.sub(row[var(j, r, k)], ma.data[k][c])
                 if any(x != 0 for x in row):
-                    rows.append(row)
-    sys_mat = Matrix._of(f, len(rows), nvars, rows)
-    kb = kernel_basis(sys_mat)
+                    rows.append(tuple(row))
+    kb = kernel_basis(Matrix._of(f, len(rows), nvars, tuple(rows)))
     basis = []
-    for col in range(kb.cols):
-        vec = kb.col(col)
+    for vec in kb.transpose().data:
         mats = []
         for v in range(nv):
-            d_n, d_m = n.dims[v], m.dims[v]
-            mats.append(
-                Matrix._of(
-                    f,
-                    d_n,
-                    d_m,
-                    [
-                        vec[var_offset[v] + r * d_m : var_offset[v] + (r + 1) * d_m]
-                        for r in range(d_n)
-                    ],
-                )
-            )
+            d_m, o = m.dims[v], var_offset[v]
+            block = tuple([vec[o + r * d_m : o + (r + 1) * d_m] for r in range(n.dims[v])])
+            mats.append(Matrix._of(f, n.dims[v], d_m, block))
         basis.append(ModuleMap(m, n, mats, check=False))
     return basis
 
@@ -290,21 +267,19 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
 # -- projective sums and Yoneda-style maps ----------------------------------
 
 
-def projsum_module(algebra, verts: Sequence[int]) -> Tuple[Module, List[List[int]]]:
-    """The module Ae_{i1} + ... + Ae_{ik} with per-summand fiber offsets.
+def projsum_module(algebra, verts: Sequence[int]) -> Module:
+    """The module Ae_{i1} + ... + Ae_{ik}; `projsum_offsets` places its summands.
 
     The module is built once per (algebra, vertex tuple) and remembered on
-    the algebra, shared by every caller like `algebra.projective(i)`, so it
-    must not be edited; the offset lists are new on every call.
+    the algebra, shared by every caller like `algebra.projective(i)`.
     """
     key = tuple(verts)
-    entry = algebra._projsum_cache.get(key)
-    if entry is None:
-        entry = algebra._projsum_cache[key] = direct_sum_modules(
+    mod = algebra._projsum_cache.get(key)
+    if mod is None:
+        mod = algebra._projsum_cache[key] = direct_sum_modules(
             algebra, [algebra.projective(i) for i in key]
         )
-    mod, offsets = entry
-    return mod, [o[:] for o in offsets]
+    return mod
 
 
 def _trivial_path_pos(algebra, i: int) -> int:
@@ -325,19 +300,18 @@ def map_from_generator_images(
     arrows one at a time; paths that start with the same arrows share the
     vectors of that prefix.
     """
-    src, offsets = projsum_module(algebra, verts)
+    src = projsum_module(algebra, verts)
     f = algebra.field
     nv = algebra.num_vertices
     arrows = [target.arrow_mats[a.id] for a in algebra.quiver.arrows]
-    mats = [Matrix.zeros(f, target.dims[v], src.dims[v]) for v in range(nv)]
-    for k, i in enumerate(verts):
+    columns = [[None] * d for d in src.dims]
+    for k, (i, offsets) in enumerate(zip(verts, projsum_offsets(algebra, verts))):
         img = [f.coerce(x) for x in images[k]]
         if len(img) != target.dims[i]:
             raise ValueError(f"generator image {k} has wrong length")
         moved = {(): img}  # arrow sequence -> the image moved along it
         for v in range(nv):
-            rows = mats[v].data
-            for pos, bidx in enumerate(algebra.basis_by_pair.get((i, v), [])):
+            for pos, bidx in enumerate(algebra.basis_by_pair.get((i, v), []), offsets[v]):
                 path = algebra.basis_path(bidx)[1]
                 n = len(path)
                 while path[:n] not in moved:
@@ -346,9 +320,8 @@ def map_from_generator_images(
                 for a in path[n:]:
                     n += 1
                     vec = moved[path[:n]] = arrows[a].apply(vec)
-                col = offsets[k][v] + pos
-                for row, e in zip(rows, vec):
-                    row[col] = e
+                columns[v][pos] = vec
+    mats = [Matrix._of_columns(f, target.dims[v], columns[v]) for v in range(nv)]
     return ModuleMap(src, target, mats, check=False)
 
 
@@ -659,7 +632,7 @@ class ResolutionReport:
     terms: List[Module]
     term_verts: List[List[int]]
     differentials: List[ModuleMap]  # d_k : terms[k] -> terms[k-1], k >= 1
-    augmentation: Optional[ModuleMap]  # terms[0] -> module
+    augmentation: Optional[ModuleMap]  # terms[0] -> a module equal to module
     status: PdResult
 
 
@@ -670,13 +643,19 @@ class _Resolution:
     cover loop, (Omega^k, its inclusion into P_{k-1}), or None once a
     syzygy is zero.  A step is appended only when it is complete, so an
     exception inside the loop leaves the resolution as it was.
+
+    Omega^0 is a module equal to m, not m itself: the resolution is kept
+    on m, and neither its state nor the augmentation onto Omega^0 holds m,
+    so m is freed as soon as its last reference goes, with no cycle for
+    the garbage collector.
     """
 
     __slots__ = ("steps", "_next")
 
     def __init__(self, m: Module):
         self.steps: List[Tuple[Module, List[int], ModuleMap, Module]] = []
-        self._next: Optional[Tuple[Module, Optional[ModuleMap]]] = (m, None)
+        twin = Module(m.algebra, m.dims, m.arrow_mats, check=False)
+        self._next: Optional[Tuple[Module, Optional[ModuleMap]]] = (twin, None)
 
     def step(self, k: int):
         """Step k, extending the loop as needed; None past the last step."""
@@ -698,8 +677,9 @@ def resolution_steps(m: Module) -> Iterator[Tuple[Module, List[int], ModuleMap, 
 
     Yields (P_k, verts_k, d_k, Omega^{k+1}) for k = 0, 1, ...: the cover
     P_k of Omega^k with its summand vertices, the differential
-    d_k : P_k -> P_{k-1} (the augmentation P_0 -> m when k = 0), and the
-    next syzygy.  Stops after the first zero syzygy, and at once for m = 0.
+    d_k : P_k -> P_{k-1} (the augmentation P_0 -> m when k = 0, onto a
+    module equal to m), and the next syzygy.  Stops after the first zero
+    syzygy, and at once for m = 0.
 
     Every call on the same module object reads one resolution, stored on
     that object and extended only when an iterator asks for a step past
@@ -707,8 +687,7 @@ def resolution_steps(m: Module) -> Iterator[Tuple[Module, List[int], ModuleMap, 
     deeper consumer later extends it, and interleaved iterators see the
     same steps.  The memo is keyed by the object, not by its content, and
     relies on modules not being mutated after construction; the yielded
-    modules and maps are shared by all callers and must not be mutated
-    either.
+    modules are shared by all callers and must not be mutated either.
     """
     res = getattr(m, "_resolution", None)
     if res is None:

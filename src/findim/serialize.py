@@ -293,7 +293,7 @@ def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
             n = _degree(key)
             if isinstance(tdoc, dict) and "proj" in tdoc:
                 verts = _mults_to_verts(algebra, tdoc["proj"])
-                terms[n], _ = projsum_module(algebra, verts)
+                terms[n] = projsum_module(algebra, verts)
                 pv[n] = verts
             else:
                 terms[n] = module_from_json(algebra, tdoc)

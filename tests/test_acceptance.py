@@ -182,7 +182,7 @@ def test_criterion_6_gldim_bounded_by_inj_dim_of_top():
         ("nakayama3", nakayama3()),
     ):
         simples = [algebra.simple(i) for i in range(algebra.num_vertices)]
-        top, _ = direct_sum_modules(algebra, simples)  # A / rad A
+        top = direct_sum_modules(algebra, simples)  # A / rad A
         t = inj_dim(top, 8)
         gl = [proj_dim(algebra.simple(i), 8) for i in range(algebra.num_vertices)]
         if t.is_finite:

@@ -56,7 +56,7 @@ def test_enumeration_dual_numbers_small():
     mods = list(enumerate_modules(a, 1))
     # zero module plus the simple; a 1x1 loop matrix must square to zero
     assert [m.dims for m in mods] == [[0], [1]]
-    assert mods[1].arrow_mats["x"].data == [[0]]
+    assert mods[1].arrow_mats["x"].data == ((0,),)
 
 
 def test_enumeration_budget():
@@ -316,8 +316,8 @@ def _minimize_perfect_reference(x):
         ainv = [solve_matrix(alpha[v], Matrix.identity(fld, alpha[v].rows)) for v in range(nv)]
         new_sv = tuple(sv[k] for k in keep_s)
         new_tv = tuple(tv[k] for k in keep_t)
-        new_src, _ = projsum_module(algebra, new_sv)
-        new_tgt, _ = projsum_module(algebra, new_tv)
+        new_src = projsum_module(algebra, new_sv)
+        new_tgt = projsum_module(algebra, new_tv)
         terms, diffs, pv = dict(cur.terms), dict(cur.diffs), dict(cur.proj_verts)
         terms[n], terms[n + 1] = new_src, new_tgt
         pv[n], pv[n + 1] = new_sv, new_tv
@@ -347,22 +347,22 @@ def _minimize_perfect_reference(x):
             if deg == n:
                 mats = []
                 for v in range(nv):
-                    full = Matrix.zeros(fld, cur.term(n).dims[v], new_src.dims[v])
+                    full = [[fld.zero()] * new_src.dims[v] for _ in range(cur.term(n).dims[v])]
                     ab = -(ainv[v] @ beta[v])
                     for r_i, r in enumerate(srows_a[v]):
-                        full.data[r] = ab.data[r_i][:]
+                        full[r] = list(ab.data[r_i])
                     for r_i, r in enumerate(srows_b[v]):
                         for c in range(new_src.dims[v]):
-                            full.data[r][c] = fld.one() if c == r_i else fld.zero()
-                    mats.append(full)
+                            full[r][c] = fld.one() if c == r_i else fld.zero()
+                    mats.append(Matrix(fld, len(full), new_src.dims[v], full))
                 comps[deg] = ModuleMap(new_src, cur.term(n), mats, check=False)
             elif deg == n + 1:
                 mats = []
                 for v in range(nv):
-                    full = Matrix.zeros(fld, cur.term(n + 1).dims[v], new_tgt.dims[v])
+                    full = [[fld.zero()] * new_tgt.dims[v] for _ in range(cur.term(n + 1).dims[v])]
                     for r_i, r in enumerate(trows_d[v]):
-                        full.data[r][r_i] = fld.one()
-                    mats.append(full)
+                        full[r][r_i] = fld.one()
+                    mats.append(Matrix(fld, len(full), new_tgt.dims[v], full))
                 comps[deg] = ModuleMap(new_tgt, cur.term(n + 1), mats, check=False)
             else:
                 comps[deg] = ModuleMap.identity(cur.term(deg))

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 
@@ -58,7 +57,7 @@ from findim.modules import (
     projsum_module,
     resolution_steps,
 )
-from util import a2, assert_same_complex, dual_numbers, linear4, nakayama3
+from util import a2, assert_frozen, assert_same_complex, dual_numbers, linear4, nakayama3
 
 
 def res_s0(a):
@@ -86,7 +85,7 @@ def test_cohomology_with_arrow_action():
     x = stalk_complex(a.projective(0), 0)
     h = cohomology(x, 0)
     assert h.dims == [1, 1]
-    assert h.arrow_mats["a"].data == [[1]]
+    assert h.arrow_mats["a"].data == ((1,),)
 
 
 def test_shift_sign_convention():
@@ -263,7 +262,7 @@ def _diff_by_unit_columns(hc, n):
             for deg, f in parts:
                 image[deg] = image[deg] + f if deg in image else f
         columns.append(hc.encode(n + 1, image))
-    return [list(row) for row in zip(*columns)] if cols else [[] for _ in range(hc.dim(n + 1))]
+    return tuple(zip(*columns)) if cols else ((),) * hc.dim(n + 1)
 
 
 def _sample_pairs(alg, seed):
@@ -388,15 +387,39 @@ def _check_compose(g, f):
     assert all(got.comps[n].mats == ref.comps[n].mats for n in ref.comps)
 
 
+def _with_entry(m, r, c, value):
+    """m with the entry (r, c) set to value, through the public constructor."""
+    rows = [list(row) for row in m.data]
+    rows[r][c] = value
+    return Matrix(m.field, m.rows, m.cols, rows)
+
+
+def _rebuilt(f, old, new):
+    """f with the matrix `old` replaced by `new` wherever its components and
+    the differentials of its source and target hold it: each map holding
+    it, the two complexes and the chain map are built anew, and every
+    other map is kept, the very object with its memos."""
+
+    def swap(d):
+        if all(m is not old for m in d.mats):
+            return d
+        return ModuleMap(d.source, d.target, [new if m is old else m for m in d.mats], check=False)
+
+    def rebuild(x):
+        diffs = {n: swap(d) for n, d in x.diffs.items()}
+        return Complex(x.algebra, x.terms, diffs, proj_verts=x.proj_verts, check=False)
+
+    comps = {n: swap(g) for n, g in f.comps.items()}
+    return ChainMap(rebuild(f.source), rebuild(f.target), comps, check=False)
+
+
 def _tampered(f, rng):
-    """Deep copies of f, each with one entry changed in place: in a
-    component (an identity one, for the ghost windows) or in a
-    differential of the source or the target."""
+    """Rebuilds of f, each with one entry changed: in a component (an
+    identity one, for the ghost windows) or in a differential of the
+    source or the target."""
     fld = f.source.algebra.field
     out = []
-    for where in ("comp", "source", "target"):
-        g = copy.deepcopy(f)
-        maps = {"comp": g.comps, "source": g.source.diffs, "target": g.target.diffs}[where]
+    for maps in (f.comps, f.source.diffs, f.target.diffs):
         cells = [
             (m, r, c)
             for _, d in sorted(maps.items())
@@ -407,8 +430,8 @@ def _tampered(f, rng):
         if not cells:
             continue
         m, r, c = rng.choice(cells)
-        m.data[r][c] = fld.add(m.data[r][c], fld.coerce(rng.randrange(1, fld.p or 3)))
-        out.append(g)
+        value = fld.add(m.data[r][c], fld.coerce(rng.randrange(1, fld.p or 3)))
+        out.append(_rebuilt(f, m, _with_entry(m, r, c, value)))
     return out
 
 
@@ -455,11 +478,11 @@ def test_random_chain_map_checks_match_references(build, field):
             _check_compose(random_chain_map(y, x, rng), f)
 
 
-def test_fast_checks_see_an_edit_after_a_check():
-    """The kernel and boundary bases are remembered per differential, but
-    every in-place edit of an entry, made after the checks have run, shows
-    in both checks as it does in the references, and undoing it restores
-    the pass."""
+def test_fast_checks_refuse_an_edit_and_see_a_rebuilt_window():
+    """The kernel and boundary bases are remembered per differential.  An
+    in-place edit of an entry raises; a window rebuilt around a matrix
+    with that entry changed, after the checks have run, shows in both
+    checks as it does in the references, and the original still passes."""
     a = dual_numbers(GF(3))
     maps, _ = ghost_maps(a.simple(0), 2)  # runs both checks on each window
     phi = maps[0]
@@ -469,14 +492,15 @@ def test_fast_checks_see_an_edit_after_a_check():
     for m in mats.values():
         for r in range(m.rows):
             for c in range(m.cols):
-                old = m.data[r][c]
-                m.data[r][c] = (old + 1) % 3
-                chain, ghost = _commutes_reference(phi), _ghost_reference(phi)
-                assert phi.commutes() == chain
-                assert induced_cohomology_zero(phi) == ghost
+                new = (m.data[r][c] + 1) % 3
+                with pytest.raises(TypeError):
+                    m.data[r][c] = new
+                g = _rebuilt(phi, m, _with_entry(m, r, c, new))
+                chain, ghost = _commutes_reference(g), _ghost_reference(g)
+                assert g.commutes() == chain
+                assert induced_cohomology_zero(g) == ghost
                 not_chain += not chain
                 not_ghost += not ghost
-                m.data[r][c] = old
                 assert phi.commutes() and induced_cohomology_zero(phi)
     assert not_chain and not_ghost
 
@@ -623,7 +647,7 @@ def _cone_reference(f):
     alg = x.algebra
     fld = alg.field
     degs = sorted(set(y.terms) | {n - 1 for n in x.terms})
-    terms = {n: direct_sum_modules(alg, [y.term(n), x.term(n + 1)])[0] for n in degs}
+    terms = {n: direct_sum_modules(alg, [y.term(n), x.term(n + 1)]) for n in degs}
     diffs = {}
     for n in degs:
         if n + 1 not in terms:
@@ -669,7 +693,7 @@ def _direct_sum_reference(algebra, xs):
     differential a block diagonal of the summands' maps, zero maps included."""
     nv = algebra.num_vertices
     degs = sorted({n for x in xs for n in x.terms})
-    terms = {n: direct_sum_modules(algebra, [x.term(n) for x in xs])[0] for n in degs}
+    terms = {n: direct_sum_modules(algebra, [x.term(n) for x in xs]) for n in degs}
     diffs = {}
     for n in degs:
         if n + 1 in terms:
@@ -688,16 +712,12 @@ def _undescribed(x):
     return Complex(x.algebra, x.terms, x.diffs, check=False)
 
 
-def _rows(x):
-    return {id(row) for d in x.diffs.values() for m in d.mats for row in m.data}
-
-
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
 @pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3, linear4], ids=lambda b: b.__name__)
 def test_direct_sum_matches_reference(build, field):
     """Described and undescribed summands, supports with gaps (a summand
-    and its shift by 3, a stalk between), and the empty sum; the sum's
-    differential rows are its own."""
+    and its shift by 3, a stalk between), and the empty sum; no
+    differential matrix of the sum can be edited."""
     alg = build(field)
     rng = random.Random(5)
     assert_same_complex(direct_sum(alg, []), _direct_sum_reference(alg, []))
@@ -718,14 +738,26 @@ def test_direct_sum_matches_reference(build, field):
         ):
             got = direct_sum(alg, xs)
             assert_same_complex(got, _direct_sum_reference(alg, xs))
-            mine = [row for d in got.diffs.values() for m in d.mats for row in m.data]
-            assert len({id(row) for row in mine}) == len(mine)
-            assert not {id(row) for row in mine} & set().union(*map(_rows, xs))
+            for d in got.diffs.values():
+                for m in d.mats:
+                    assert_frozen(m)
     assert gapped
+
+
+def _held(mats):
+    """Each matrix with its rows object, to tell that both are unchanged."""
+    return [(m, m.data) for m in mats]
+
+
+def _same_objects(got, want):
+    return len(got) == len(want) and all(a is b and r is s for (a, r), (b, s) in zip(got, want))
 
 
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
 def test_cone_leaves_its_summands_and_the_shared_sums_unchanged(field):
+    """The summands keep their very differential matrices and rows, the
+    shared projective sums their arrow matrices, and no differential
+    matrix of the cone can be edited."""
     alg = linear4(field)
     rng = random.Random(23)
     placed = 0
@@ -733,18 +765,19 @@ def test_cone_leaves_its_summands_and_the_shared_sums_unchanged(field):
         x, y = random_perfect_complex(alg, rng), random_perfect_complex(alg, rng)
         f = random_chain_map(x, y, rng)
         src, tgt = f.source, f.target
-        before = [
-            [m.copy() for d in z.diffs.values() for m in d.mats] for z in (src, tgt)
-        ]
+        before = [_held(m for d in z.diffs.values() for m in d.mats) for z in (src, tgt)]
         shared = [t for z in (src, tgt) for t in z.terms.values()]
-        shared_mats = [m.copy() for t in shared for m in t.arrow_mats.values()]
+        shared_mats = _held(m for t in shared for m in t.arrow_mats.values())
         c = cone(f)
         placed += len(f.comps)
         for z, mats in zip((src, tgt), before):
-            assert [m.data for d in z.diffs.values() for m in d.mats] == [m.data for m in mats]
-        assert [m.data for t in shared for m in t.arrow_mats.values()] == [m.data for m in shared_mats]
+            assert _same_objects(_held(m for d in z.diffs.values() for m in d.mats), mats)
+        assert _same_objects(_held(m for t in shared for m in t.arrow_mats.values()), shared_mats)
         for n, verts in c.proj_verts.items():
-            assert c.terms[n] is projsum_module(alg, verts)[0]
+            assert c.terms[n] is projsum_module(alg, verts)
+        for d in c.diffs.values():
+            for m in d.mats:
+                assert_frozen(m)
     assert placed
 
 

@@ -17,6 +17,7 @@ from findim import (
     h_value,
     hom_support,
     in_hom_p,
+    proj_dim,
     random_chain_map,
     random_module,
     random_perfect_complex,
@@ -169,6 +170,38 @@ def test_copies_of_a_complex_leave_its_memos_behind():
         assert not hasattr(cx, "_hom_supports") and not hasattr(cx, "_cohomology")
         assert not hasattr(cx, "_cohomology_dims")
         assert hom_support(cx, cy).dims == {1: 1}
+
+
+def test_deep_copies_equal_their_originals():
+    """A deep copy shares the algebra and the matrices of its original, so
+    it equals it; a pickled copy works over an algebra of its own."""
+    a = a2()
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    p = a.projective(0)
+    x = resolve_to_perfect(a.simple(0), 5)
+    for obj in (p, x):
+        c = copy.deepcopy(obj)
+        assert c == obj and c is not obj and c.algebra is a
+        q = pickle.loads(pickle.dumps(obj))
+        assert q.algebra is not a and q != obj
+    q = pickle.loads(pickle.dumps(p))
+    assert q.dims == p.dims and proj_dim(q, 5).describe() == "Finite(0)"
+    qx = pickle.loads(pickle.dumps(x))
+    assert hom_support(qx, qx).dims == hom_support(x, x).dims
+
+
+def test_a_resolved_module_is_freed_without_the_collector():
+    """The resolution kept on a module holds no reference to the module:
+    with the cyclic collector off, it goes with its last reference."""
+    m = dual_numbers(GF(3)).simple(0)
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        assert proj_dim(m, 8).kind == "infinite_periodic"
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cohomology_dims_returns_a_new_dict_each_call():

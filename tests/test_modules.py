@@ -40,7 +40,7 @@ from findim.modules import (
     submodule_closure,
     yoneda_coordinates,
 )
-from util import a2, dual_numbers, k_algebra, linear4, nakayama3, same_mats
+from util import a2, assert_frozen, dual_numbers, k_algebra, linear4, nakayama3, same_mats
 
 
 def _surjective(f):
@@ -81,21 +81,25 @@ def _random_map(m, n, rng):
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
-def test_compose_is_the_product_in_new_matrices(field):
+def test_compose_is_the_product_sharing_identity_factors(field):
     """compose equals the plain matrix product vertex by vertex, with and
-    without identity factors, and returns matrices and rows of its own."""
+    without identity factors; beside an identity factor the product is
+    the other factor itself, and no matrix of the result can be edited."""
     alg = nakayama3(field)
     rng = random.Random(5)
     mods = [random_module(alg, rng) for _ in range(4)] + [alg.simple(0)]
+    shared = 0
     for l, m, n in itertools.product(mods, repeat=3):
         f, g, i = _random_map(l, m, rng), _random_map(m, n, rng), ModuleMap.identity(m)
         for a, b in ((g, f), (i, f), (g, i), (i, i)):
             got = a.compose(b)
             same_mats(got.mats, [x @ y for x, y in zip(a.mats, b.mats)])
-            factors = a.mats + b.mats
-            assert not any(x is y for x in got.mats for y in factors)
-            rows = {id(r) for y in factors for r in y.data}
-            assert not any(id(r) in rows for x in got.mats for r in x.data)
+            for x, y, z in zip(a.mats, b.mats, got.mats):
+                if x.is_identity() or y.is_identity():
+                    assert z is (y if x.is_identity() else x)
+                    shared += 1
+                assert_frozen(z)
+    assert shared
 
 
 def test_projective_cover_top():
@@ -163,9 +167,9 @@ def test_yoneda_coordinates_roundtrip():
 
 def test_direct_sum_offsets():
     a = a2()
-    m, offsets = direct_sum_modules(a, [a.projective(0), a.projective(1)])
+    m = direct_sum_modules(a, [a.projective(0), a.projective(1)])
     assert m.dims == [1, 2]
-    assert offsets[1][1] == 1
+    assert projsum_offsets(a, [0, 1])[1][1] == 1
 
 
 def _vertex_tuples(alg, longest=3):
@@ -177,37 +181,42 @@ def _vertex_tuples(alg, longest=3):
 @pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3, linear4], ids=lambda b: b.__name__)
 def test_projsum_module_is_the_sum_of_its_projectives(build, field):
     """One module per vertex tuple, equal matrix for matrix to the direct
-    sum of the projectives, with the offsets of that sum."""
+    sum of the projectives, with the offsets of that sum: the partial sums
+    of the projectives' dimension vectors."""
     alg = build(field)
     for verts in _vertex_tuples(alg):
-        mod, offsets = projsum_module(alg, verts)
-        ref, ref_offsets = direct_sum_modules(alg, [alg.projective(i) for i in verts])
+        mod = projsum_module(alg, verts)
+        ref = direct_sum_modules(alg, [alg.projective(i) for i in verts])
         assert mod.dims == ref.dims
         for a in alg.quiver.arrows:
             same_mats([mod.arrow_mats[a.id]], [ref.arrow_mats[a.id]])
-        assert offsets == ref_offsets == projsum_offsets(alg, verts)
-        assert projsum_module(alg, list(verts))[0] is mod
-    assert projsum_module(build(field), (0,))[0] is not projsum_module(alg, (0,))[0]
+        acc, ref_offsets = [0] * alg.num_vertices, []
+        for i in verts:
+            ref_offsets.append(acc)
+            acc = [x + d for x, d in zip(acc, alg.projective(i).dims)]
+        assert projsum_offsets(alg, verts) == ref_offsets
+        assert projsum_module(alg, list(verts)) is mod
+    assert projsum_module(build(field), (0,)) is not projsum_module(alg, (0,))
 
 
 def test_projsum_offsets_are_new_lists():
     alg = linear4()
     verts = (0, 2, 1)
+    want = [[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]]
     # the offsets come from the basis, without building or remembering the sum
-    assert projsum_offsets(alg, verts) == [[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]]
+    assert projsum_offsets(alg, verts) == want
     assert alg._projsum_cache == {}
-    _, offsets = projsum_module(alg, verts)
-    want = [o[:] for o in offsets]
+    offsets = projsum_offsets(alg, verts)
     offsets[1][2] = 99
     offsets.append([7, 7, 7, 7])
-    projsum_offsets(alg, verts)[0][0] = 99
-    assert projsum_module(alg, verts)[1] == want
+    projsum_module(alg, verts)
+    assert list(alg._projsum_cache) == [verts]
     assert projsum_offsets(alg, verts) == want
 
 
 def test_quotient_module():
     a = dual_numbers()
-    p, _ = projsum_module(a, [0])
+    p = projsum_module(a, [0])
     rad = radical_basis(p)
     sub = submodule_closure(p, rad)
     q, proj = quotient_module(p, sub)
@@ -225,10 +234,10 @@ def _quotient_module_reference(m, sub):
     reps = []
     for v in range(nv):
         chosen = complement_columns(sub[v], Matrix.identity(f, m.dims[v]))
-        rep = Matrix.zeros(f, m.dims[v], len(chosen))
+        rep = [[f.zero()] * len(chosen) for _ in range(m.dims[v])]
         for k, c in enumerate(chosen):
-            rep.data[c][k] = f.one()
-        reps.append(rep)
+            rep[c][k] = f.one()
+        reps.append(Matrix(f, m.dims[v], len(chosen), rep))
     dims = [reps[v].cols for v in range(nv)]
     projs = []
     for v in range(nv):
@@ -284,14 +293,15 @@ def _kernel_of_reference(f_map):
 
 def _map_from_generator_images_reference(alg, verts, target, images):
     """map_from_generator_images with one path-action matrix per basis path."""
-    src, offsets = projsum_module(alg, verts)
-    mats = [Matrix.zeros(alg.field, target.dims[v], src.dims[v]) for v in range(alg.num_vertices)]
+    src, offsets = projsum_module(alg, verts), projsum_offsets(alg, verts)
+    rows = [[[alg.field.zero()] * src.dims[v] for _ in range(target.dims[v])] for v in range(alg.num_vertices)]
     for k, i in enumerate(verts):
         for v in range(alg.num_vertices):
             for pos, bidx in enumerate(alg.basis_by_pair.get((i, v), [])):
                 vec = target.act_path(alg.basis_path(bidx)).apply(images[k])
                 for r in range(target.dims[v]):
-                    mats[v].data[r][offsets[k][v] + pos] = vec[r]
+                    rows[v][r][offsets[k][v] + pos] = vec[r]
+    mats = [Matrix(alg.field, target.dims[v], src.dims[v], rows[v]) for v in range(alg.num_vertices)]
     return ModuleMap(src, target, mats, check=False)
 
 
@@ -372,7 +382,7 @@ def test_modules_isomorphic_negative():
 
 def test_iso_search_bound_returns_none():
     a = dual_numbers()
-    s3, _ = direct_sum_modules(a, [a.simple(0)] * 3)
+    s3 = direct_sum_modules(a, [a.simple(0)] * 3)
     assert modules_isomorphic(s3, s3, search_bound=4) is None
     assert modules_isomorphic(s3, s3) is True
     # dim End(S^3) = 9: 2^9 candidates are searched only when the bound allows 512
@@ -445,7 +455,7 @@ def test_iso_search_matches_reference(p):
         pool = [alg.simple(v) for v in range(alg.num_vertices)]
         pool += [alg.projective(v) for v in range(alg.num_vertices)]
         pool += [random_module(alg, rng) for _ in range(8)]
-        pool += [direct_sum_modules(alg, rng.sample(pool, 2))[0] for _ in range(8)]
+        pool += [direct_sum_modules(alg, rng.sample(pool, 2)) for _ in range(8)]
         pool = [m for m in pool if p ** len(hom_space(m, m)) <= _REFERENCE_BOUND]
         for m in pool:
             c = _conjugate(m, rng)
@@ -458,7 +468,7 @@ def test_iso_search_matches_reference(p):
     assert decided > 0
     # same dims, not isomorphic: P_0 against S_0 + S_1 on a2
     a = a2(f)
-    s01, _ = direct_sum_modules(a, [a.simple(0), a.simple(1)])
+    s01 = direct_sum_modules(a, [a.simple(0), a.simple(1)])
     assert modules_isomorphic(a.projective(0), s01) is False
     assert _reference_isomorphic(a.projective(0), s01) is False
     # same dims, zero Hom: the Kronecker modules (a, b) = (1, 0) and (0, 1)
@@ -477,7 +487,7 @@ def test_iso_search_heavy_case(monkeypatch):
     # where about 31% of random candidates (those of GL_4(2) in M_4(2)) are
     # invertible, so the random witnesses decide after a few tests
     a = nakayama3()
-    s4, _ = direct_sum_modules(a, [a.simple(0)] * 4)
+    s4 = direct_sum_modules(a, [a.simple(0)] * 4)
     c = _conjugate(s4, random.Random(0))
     assert len(hom_space(s4, c)) == 16
     tests = []
@@ -596,13 +606,18 @@ def _memos(obj):
 
 
 def test_copies_of_modules_and_maps_leave_their_memos_behind():
-    """A copy carries no remembered resolution or basis: an edit of the
-    copy is answered from its own content, never from the original's."""
+    """A copy carries no remembered resolution or basis: a deep copy
+    shares its original's algebra and matrices, which refuse an edit, and
+    a copy given another matrix is answered from its own content, never
+    from the original's."""
     a = a2()
     p = a.projective(0)
     assert proj_dim(p, 5).describe() == "Finite(0)"
     m = copy.deepcopy(p)
-    m.arrow_mats["a"].data[0][0] = 0  # m is now S_0 + S_1
+    assert m == p and m.algebra is a and m.arrow_mats["a"] is p.arrow_mats["a"]
+    with pytest.raises(TypeError):
+        m.arrow_mats["a"].data[0][0] = 0
+    m.arrow_mats["a"] = Matrix(a.field, 1, 1, [[0]])  # m is now S_0 + S_1
     assert proj_dim(m, 5).describe() == "Finite(1)"
     fresh = Module(m.algebra, [1, 1], {"a": Matrix(m.algebra.field, 1, 1, [[0]])})
     assert proj_dim(fresh, 5).describe() == "Finite(1)"
@@ -614,6 +629,7 @@ def test_copies_of_modules_and_maps_leave_their_memos_behind():
             assert _memos(c) == [] and type(c) is type(obj)
     q = pickle.loads(pickle.dumps(p))
     assert q.dims == p.dims and q.arrow_mats["a"].data == p.arrow_mats["a"].data
+    assert q.algebra is not a
 
 
 def test_lazy_resolution_covers_each_step_once(monkeypatch):

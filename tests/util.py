@@ -1,5 +1,8 @@
-"""Shared builders for the algebras used across the test suite, and an
-entry-for-entry comparison of complexes."""
+"""Shared builders for the algebras used across the test suite, an
+entry-for-entry comparison of complexes, and a check that a matrix cannot
+be edited."""
+
+import pytest
 
 from findim import GF, QQ, Quiver, Relation, build_algebra
 
@@ -58,3 +61,16 @@ def assert_same_complex(got, ref):
         assert got.terms[n] == t
     for n, d in ref.diffs.items():
         same_mats(got.diffs[n].mats, d.mats)
+
+
+def assert_frozen(m):
+    """Rows in a tuple, entries in tuple rows (exact tuples, which nothing
+    can edit): writing a row or an entry raises TypeError."""
+    assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
+    assert len(m.data) == m.rows and all(len(row) == m.cols for row in m.data)
+    if m.rows:
+        with pytest.raises(TypeError):
+            m.data[0] = m.data[0]
+        if m.cols:
+            with pytest.raises(TypeError):
+                m.data[0][0] = m.data[0][0]
