@@ -259,7 +259,7 @@ class FDAlgebra:
             raise ValueError("module not over this algebra")
         op = self.opposite()
         mats = {aid: mat.transpose() for aid, mat in m.arrow_mats.items()}
-        return Module(op, list(m.dims), mats)
+        return Module(op, m.dims, mats)
 
     def __copy__(self):
         return self

@@ -105,7 +105,7 @@ def _modules_with_dims(algebra, dims) -> Iterator[Module]:
             )
             pos += r * c
         try:
-            yield Module(algebra, list(dims), mats, check=True)
+            yield Module(algebra, dims, mats, check=True)
         except ValueError:
             continue
 

@@ -15,7 +15,8 @@ Hom machinery uses them to work in generator-image coordinates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import (
     Matrix,
@@ -50,11 +51,10 @@ class NotPerfectError(ValueError):
 class Complex(_Memoized):
     """Bounded cochain complex of modules with degree +1 differentials.
 
-    Complexes, like modules, are not edited after construction: their
-    terms, differentials and descriptors are shared by the complexes built
-    from them, and answers computed from a complex are remembered on it.
-    `cohomology(x, n)` remembers its module per degree on x,
-    `cohomology_dims(x)` its dimensions, and
+    `terms`, `diffs` and `proj_verts` are read-only mappings, shared by the
+    complexes built from them, and answers computed from a complex are
+    remembered on it.  `cohomology(x, n)` remembers its module per degree
+    on x, `cohomology_dims(x)` its dimensions, and
     `invariants.hom_support(x, y)` remembers the Hom-support on the source
     x per target object y, holding y only weakly.
     """
@@ -62,18 +62,18 @@ class Complex(_Memoized):
     def __init__(
         self,
         algebra,
-        terms: Dict[int, Module],
-        diffs: Dict[int, ModuleMap],
-        proj_verts: Optional[Dict[int, Tuple[int, ...]]] = None,
+        terms: Mapping[int, Module],
+        diffs: Mapping[int, ModuleMap],
+        proj_verts: Optional[Mapping[int, Sequence[int]]] = None,
         check: bool = True,
     ):
         self.algebra = algebra
-        self.terms = {n: m for n, m in terms.items() if not m.is_zero()}
-        self.diffs = {
-            n: d for n, d in diffs.items() if n in self.terms and n + 1 in self.terms
-        }
+        self.terms = MappingProxyType({n: m for n, m in terms.items() if not m.is_zero()})
+        self.diffs = MappingProxyType(
+            {n: d for n, d in diffs.items() if n in self.terms and n + 1 in self.terms}
+        )
         self.proj_verts = (
-            {n: tuple(v) for n, v in proj_verts.items() if n in self.terms}
+            MappingProxyType({n: tuple(v) for n, v in proj_verts.items() if n in self.terms})
             if proj_verts is not None
             else None
         )
@@ -241,15 +241,6 @@ class ChainMap:
             check=False,
         )
 
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.comps.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainMap):
-            return False
-        degs = set(self.comps) | set(other.comps)
-        return all((self.comp(n) - other.comp(n)).is_zero() for n in degs)
-
 
 class Homotopy:
     """Degree -1 maps h^n : X^n -> Y^{n-1} witnessing a null-homotopy."""
@@ -311,6 +302,11 @@ def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
     summands: each row of a summand's block is set between zeros, and a
     summand with no differential in that degree contributes zero rows.
     """
+    return Complex(algebra, *_direct_sum_parts(algebra, xs), check=False)
+
+
+def _direct_sum_parts(algebra, xs: Sequence[Complex]):
+    """The terms, differentials and descriptors of `direct_sum(algebra, xs)`."""
     for x in xs:
         if x.algebra is not algebra:
             raise ValueError("complexes over different algebras")
@@ -345,7 +341,7 @@ def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
                 c0 += sdims[v]
             mats.append(Matrix._of(fld, tgt.dims[v], width, tuple(data)))
         diffs[n] = ModuleMap(src, tgt, mats, check=False)
-    return Complex(algebra, terms, diffs, proj_verts=pv, check=False)
+    return terms, diffs, pv
 
 
 def cone(f: ChainMap) -> Complex:
@@ -356,13 +352,13 @@ def cone(f: ChainMap) -> Complex:
     upper-right block of its differential at n.
     """
     y = f.target
-    c = direct_sum(y.algebra, [y, shift(f.source, 1)])
+    terms, diffs, pv = _direct_sum_parts(y.algebra, [y, shift(f.source, 1)])
     for n, fn in f.comps.items():
-        d, left = c.diffs[n - 1], y.term(n - 1).dims
+        d, left = diffs[n - 1], y.term(n - 1).dims
         blocks = zip(d.mats, fn.mats, left)
         mats = [m.with_block(range(b.rows), range(l, m.cols), b) for m, b, l in blocks]
-        c.diffs[n - 1] = ModuleMap(d.source, d.target, mats, check=False)
-    return c
+        diffs[n - 1] = ModuleMap(d.source, d.target, mats, check=False)
+    return Complex(y.algebra, terms, diffs, proj_verts=pv, check=False)
 
 
 def stupid_truncate(x: Complex, lo: Optional[int] = None, hi: Optional[int] = None) -> Complex:
@@ -378,22 +374,22 @@ def stupid_truncate(x: Complex, lo: Optional[int] = None, hi: Optional[int] = No
 # -- cohomology --------------------------------------------------------------
 
 
-def cohomology_dims(x: Complex) -> Dict[int, int]:
+def cohomology_dims(x: Complex) -> Mapping[int, int]:
     """Total dimension of H^n for every degree: dim x^n - rank d^n -
     rank d^{n-1}, each rank summed over the vertices and computed once.
 
-    The answer is remembered on x; each call returns a new dict.
+    The answer is remembered on x, a read-only mapping.
     """
     memo = getattr(x, "_cohomology_dims", None)
     if memo is None:
         ranks = {n: sum(rank(m) for m in d.mats) for n, d in x.diffs.items()}
-        memo = {}
+        dims = {}
         for n in x.support:
             total = x.terms[n].total_dim - ranks.get(n, 0) - ranks.get(n - 1, 0)
             if total:
-                memo[n] = total
-        x._cohomology_dims = memo
-    return dict(memo)
+                dims[n] = total
+        memo = x._cohomology_dims = MappingProxyType(dims)
+    return memo
 
 
 def is_acyclic(x: Complex) -> bool:
@@ -471,7 +467,7 @@ def cohomology(x: Complex, n: int) -> Module:
     the cycle module by the boundaries, written in its coordinates.
 
     The module is remembered on x per degree, so every caller gets the
-    same object and shares its lazy resolution; it must not be mutated.
+    same object and shares its lazy resolution.
     """
     memo = getattr(x, "_cohomology", None)
     if memo is None:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import List, Mapping, Optional
 
 from .linalg import Matrix
 from .modules import (
@@ -41,11 +42,11 @@ class ResolutionCutoffError(ValueError):
     """A module failed to resolve within the requested cutoff."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomSupport:
     """Nonzero values of degree n -> dim Hom(x, shift(y, n))."""
 
-    dims: Dict[int, int] = field(default_factory=dict)
+    dims: Mapping[int, int]
 
     @property
     def is_empty(self) -> bool:
@@ -100,10 +101,9 @@ def algebra_complex(algebra, degree: int = 0) -> Complex:
 def hom_support(x: Complex, y: Complex) -> HomSupport:
     """Degrees n with Hom(x, shift(y, n)) nonzero, with dimensions.
 
-    The dimensions are remembered on x per target object y, which is held
-    by a weak reference: the entry goes when y does, and is only read for
-    the very object it was computed for.  Each call returns a new
-    HomSupport, so editing its dims never changes a later answer.
+    The answer is remembered on x per target object y, which is held by a
+    weak reference: the entry goes when y does, and is only read for the
+    very object it was computed for.  Its dims are a read-only mapping.
     """
     memo = getattr(x, "_hom_supports", None)
     if memo is None:
@@ -111,10 +111,10 @@ def hom_support(x: Complex, y: Complex) -> HomSupport:
     key = id(y)
     hit = memo.get(key)
     if hit is not None and hit[0]() is y:
-        return HomSupport(dict(hit[1]))
-    dims = HomComplex(x, y).cohomology_dims()
-    memo[key] = (weakref.ref(y, _forget(x, key)), dims)
-    return HomSupport(dict(dims))
+        return hit[1]
+    s = HomSupport(MappingProxyType(HomComplex(x, y).cohomology_dims()))
+    memo[key] = (weakref.ref(y, _forget(x, key)), s)
+    return s
 
 
 def _forget(x: Complex, key: int):

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import add
+from types import MappingProxyType
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import (
     Matrix,
@@ -35,35 +37,41 @@ class _Memoized:
     """Base of the objects that remember answers on themselves, in
     underscore attributes.  Copies and pickles leave those behind, so no
     weak reference of a memo is copied and a copy computes its own answers.
-    A deep copy shares the algebra and the matrices of its original, which
-    are never edited, and so equals it; a pickled copy works over an
-    algebra of its own."""
+    A read-only mapping travels as a plain dict and is wrapped again on
+    arrival.  A deep copy shares the algebra and the matrices of its
+    original, which refuse an edit, and so equals it; a pickled copy works
+    over an algebra of its own."""
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+        state = {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+        return {k: dict(v) if type(v) is MappingProxyType else v for k, v in state.items()}
+
+    def __setstate__(self, state):
+        for k, v in state.items():
+            setattr(self, k, MappingProxyType(v) if type(v) is dict else v)
 
 
 class Module(_Memoized):
     """Representation of a quiver algebra: dims per vertex, matrix per arrow.
 
-    A module is not mutated after construction: `resolution_steps` keeps
-    the resolution of a module on the object, which an edit to `dims` or
-    `arrow_mats` would leave stale.
+    `dims` is a tuple and `arrow_mats` a read-only mapping: the resolution
+    that `resolution_steps` remembers on a module is always its own.
     """
 
-    def __init__(self, algebra, dims: Sequence[int], arrow_mats: Dict[str, Matrix], check: bool = True):
+    def __init__(self, algebra, dims: Sequence[int], arrow_mats: Mapping[str, Matrix], check: bool = True):
         self.algebra = algebra
-        self.dims = list(dims)
+        self.dims = tuple(dims)
         if len(self.dims) != algebra.num_vertices or any(d < 0 for d in self.dims):
             raise ValueError("bad dimension vector")
-        self.arrow_mats = dict(arrow_mats)
+        mats = dict(arrow_mats)
         for a in algebra.quiver.arrows:
-            m = self.arrow_mats.get(a.id)
+            m = mats.get(a.id)
             if m is None:
                 m = Matrix.zeros(algebra.field, self.dims[a.target], self.dims[a.source])
-                self.arrow_mats[a.id] = m
+                mats[a.id] = m
             if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
                 raise ValueError(f"arrow {a.id!r}: matrix shape does not match dims")
+        self.arrow_mats = MappingProxyType(mats)
         if check:
             self._check_relations()
 
@@ -108,9 +116,6 @@ class Module(_Memoized):
                 for a in self.algebra.quiver.arrows
             )
         )
-
-    def __hash__(self):
-        return hash((tuple(self.dims),))
 
     def __repr__(self):
         return f"Module(dims={self.dims})"
@@ -328,16 +333,14 @@ def map_from_generator_images(
 def projsum_offsets(algebra, verts: Sequence[int]) -> List[List[int]]:
     """Per summand, per vertex: where its fiber starts in the projective sum.
 
-    The fiber of Ae_i at v has one basis vector per path class i -> v, so
-    the offsets come from the basis of the algebra, without building the sum.
+    The offsets are the partial sums of the dimension vectors of the
+    projectives Ae_i, read without building the sum.
     """
-    nv = algebra.num_vertices
-    acc = [0] * nv
+    acc = [0] * algebra.num_vertices
     out = []
     for i in verts:
-        out.append(acc[:])
-        for v in range(nv):
-            acc[v] += len(algebra.basis_by_pair.get((i, v), ()))
+        out.append(acc)
+        acc = list(map(add, acc, algebra.projective(i).dims))
     return out
 
 
@@ -685,9 +688,8 @@ def resolution_steps(m: Module) -> Iterator[Tuple[Module, List[int], ModuleMap, 
     that object and extended only when an iterator asks for a step past
     its end: a consumer that stops early leaves the rest uncomputed, a
     deeper consumer later extends it, and interleaved iterators see the
-    same steps.  The memo is keyed by the object, not by its content, and
-    relies on modules not being mutated after construction; the yielded
-    modules are shared by all callers and must not be mutated either.
+    same steps.  The memo is keyed by the object, not by its content,
+    which cannot change: the yielded modules are shared by all callers.
     """
     res = getattr(m, "_resolution", None)
     if res is None:

@@ -241,9 +241,8 @@ def _mults_to_verts(algebra: FDAlgebra, mults: List[int]):
         raise ParseError(
             f'bad "proj" multiplicities {mults!r}: expected {nv} non-negative integers'
         )
-    # the fiber of Ae_i at v has one basis vector per path class i -> v
     dims = [
-        sum(k * len(algebra.basis_by_pair.get((i, v), ())) for i, k in enumerate(mults))
+        sum(k * algebra.projective(i).dims[v] for i, k in enumerate(mults) if k)
         for v in range(nv)
     ]
     _check_module_size(algebra, dims)

@@ -145,32 +145,32 @@ def test_relation_parallel_check():
 
 def test_projectives_and_simples_a2():
     a = a2()
-    assert a.projective(0).dims == [1, 1]
-    assert a.projective(1).dims == [0, 1]
-    assert a.simple(0).dims == [1, 0]
-    assert a.simple(1).dims == [0, 1]
+    assert a.projective(0).dims == (1, 1)
+    assert a.projective(1).dims == (0, 1)
+    assert a.simple(0).dims == (1, 0)
+    assert a.simple(1).dims == (0, 1)
 
 
 def test_projectives_nakayama():
     a = nakayama3()
     # uniserial of length 2: P_i has top S_i and socle S_{i+1}
-    assert a.projective(0).dims == [1, 1, 0]
-    assert a.projective(1).dims == [0, 1, 1]
-    assert a.projective(2).dims == [1, 0, 1]
+    assert a.projective(0).dims == (1, 1, 0)
+    assert a.projective(1).dims == (0, 1, 1)
+    assert a.projective(2).dims == (1, 0, 1)
 
 
 def test_opposite_algebra():
     a = a2()
     op = a.opposite()
     assert op.dim == 3
-    assert op.projective(1).dims == [1, 1]  # roles of source and sink swap
+    assert op.projective(1).dims == (1, 1)  # roles of source and sink swap
 
 
 def test_dual_module():
     a = a2()
     d = a.dual_module(a.simple(0))
     assert d.algebra is a.opposite()
-    assert d.dims == [1, 0]
+    assert d.dims == (1, 0)
 
 
 def test_rational_coefficients():

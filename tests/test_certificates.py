@@ -55,7 +55,7 @@ def test_enumeration_dual_numbers_small():
     a = dual_numbers()
     mods = list(enumerate_modules(a, 1))
     # zero module plus the simple; a 1x1 loop matrix must square to zero
-    assert [m.dims for m in mods] == [[0], [1]]
+    assert [m.dims for m in mods] == [(0,), (1,)]
     assert mods[1].arrow_mats["x"].data == ((0,),)
 
 

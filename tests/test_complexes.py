@@ -75,7 +75,7 @@ def test_complex_validation_rejects_bad_differential():
 def test_cohomology_of_resolution():
     a = a2()
     x = res_s0(a)
-    assert cohomology(x, 0).dims == [1, 0]
+    assert cohomology(x, 0).dims == (1, 0)
     assert cohomology(x, -1).is_zero()
     assert cohomology_dims(x) == {0: 1}
 
@@ -84,7 +84,7 @@ def test_cohomology_with_arrow_action():
     a = a2()
     x = stalk_complex(a.projective(0), 0)
     h = cohomology(x, 0)
-    assert h.dims == [1, 1]
+    assert h.dims == (1, 1)
     assert h.arrow_mats["a"].data == ((1,),)
 
 

@@ -1,7 +1,7 @@
 """Static hygiene of the library source: no unused imports, no unused
 private helpers, no draws from the shared generator of ``random``, and no
-write into the rows of a matrix; and, at run time, matrices that refuse
-an edit.
+write into the rows of a matrix; and, at run time, matrices, modules,
+complexes and remembered answers that refuse an edit.
 
 A stdlib ``ast`` scan of every module in src/findim except the package
 ``__init__.py``, whose imports are its re-exports.  An imported name counts
@@ -17,6 +17,7 @@ of a ``.data`` attribute.
 """
 
 import ast
+import dataclasses
 import itertools
 import os
 import random
@@ -31,16 +32,31 @@ from findim import (
     Complex,
     HomComplex,
     Matrix,
+    Module,
     cone,
     direct_sum,
     hom_space,
+    hom_support,
+    projective_cover,
     random_chain_map,
     random_perfect_complex,
+    shift,
+    stalk_complex,
+    stupid_truncate,
 )
 from findim.certificates import minimize_perfect
-from findim.complexes import cohomology, standardize_perfect
+from findim.complexes import cohomology, cohomology_dims, standardize_perfect
+from findim.invariants import resolution_complex
 from findim.linalg import column_space_basis, kernel_basis, rref, solve_matrix
-from findim.modules import resolution_steps
+from findim.modules import (
+    direct_sum_modules,
+    kernel_of,
+    projsum_module,
+    quotient_module,
+    radical_basis,
+    resolution_steps,
+)
+from findim.serialize import complex_from_json, complex_to_json, module_from_json, module_to_json
 from util import a2, assert_frozen, dual_numbers
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "findim")
@@ -280,3 +296,48 @@ def test_every_matrix_refuses_an_edit(field):
         mats += [m for p in (alg.projective(0), cohomology(c, 0)) for m in p.arrow_mats.values()]
     for mat in mats:
         assert_frozen(mat)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+def test_every_module_and_complex_refuses_an_edit(field):
+    """The modules and complexes of every constructor, and the dimensions
+    remembered on a complex, refuse an edit: a module's dimension vector is
+    a tuple, and every mapping is read-only."""
+    rng = random.Random(5)
+    for alg in (a2(field), dual_numbers(field)):
+        p, s = alg.projective(0), alg.simple(0)
+        x = random_perfect_complex(alg, rng)
+        c = cone(random_chain_map(x, x, rng))
+        plain = Complex(alg, x.terms, x.diffs, check=False)
+        mods = [
+            Module(alg, s.dims, {}),
+            p,
+            s,
+            alg.zero_module(),
+            alg.dual_module(s),
+            projsum_module(alg, (0, 0)),
+            direct_sum_modules(alg, [p, s]),
+            kernel_of(projective_cover(s)[1])[0],
+            quotient_module(p, radical_basis(p))[0],
+            cohomology(c, 0),
+            module_from_json(alg, module_to_json(p)),
+        ]
+        for proj, _, _, ker in itertools.islice(resolution_steps(s), 6):
+            mods += [proj, ker]
+        complexes = [
+            plain,
+            stalk_complex(s, 0),
+            shift(x, 1),
+            direct_sum(alg, [x, c]),
+            c,
+            stupid_truncate(x, -1, 1),
+            resolution_complex(s, 4),
+            standardize_perfect(plain)[0],
+            minimize_perfect(direct_sum(alg, [x, cone(ChainMap.identity(x))]))[0],
+            complex_from_json(alg, complex_to_json(c)),
+        ]
+        support = hom_support(x, c)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            support.dims = {}
+        for obj in mods + complexes + [cohomology_dims(c), support.dims]:
+            assert_frozen(obj)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -204,30 +205,54 @@ def test_a_resolved_module_is_freed_without_the_collector():
         gc.enable()
 
 
-def test_cohomology_dims_returns_a_new_dict_each_call():
+def test_cohomology_dims_returns_one_read_only_mapping():
     a = a2()
     x = resolve_to_perfect(a.simple(0), 5)
     first = cohomology_dims(x)
     assert first == {0: 1}
-    first[3] = 2
-    first.pop(0)
+    with pytest.raises(TypeError):
+        first[3] = 2
+    with pytest.raises(AttributeError):
+        first.pop(0)
     again = cohomology_dims(x)
-    assert again is not first and again == {0: 1}
+    assert again is first and again == {0: 1}
 
 
-def test_hom_support_returns_a_new_object_each_call():
+def test_hom_support_returns_one_frozen_object():
     a = a2()
     x = resolve_to_perfect(a.simple(0), 5)
     y = stalk_complex(a.simple(1), 0)
     s = hom_support(x, y)
-    s.dims[7] = 2
-    s.dims.pop(1)
+    with pytest.raises(TypeError):
+        s.dims[7] = 2
+    with pytest.raises(AttributeError):
+        s.dims.pop(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.dims = {}
     t = hom_support(x, y)
-    assert t is not s and t.dims == {1: 1}
+    assert t is s and t.dims == {1: 1}
     assert h_value(x, y) == 1 and amplitude(x) == 0
     amp = hom_support(x, x)
-    amp.dims.clear()
-    assert amplitude(x) == 0 and hom_support(x, x).dims == {0: 1}
+    with pytest.raises(AttributeError):
+        amp.dims.clear()
+    assert amplitude(x) == 0 and hom_support(x, x) is amp and amp.dims == {0: 1}
+
+
+def test_a_shallow_copy_of_a_complex_cannot_edit_its_original():
+    """A shallow copy shares the terms of its original, which refuse an
+    edit through the copy as through the original."""
+    a = a2()
+    x = resolve_to_perfect(a.simple(0), 5)
+    assert cohomology_dims(x) == {0: 1}
+    terms = dict(x.terms)
+    c = copy.copy(x)
+    with pytest.raises(TypeError):
+        c.terms[0] = a.simple(0)
+    with pytest.raises(TypeError):
+        del c.terms[-1]
+    assert x.terms == c.terms == terms
+    assert cohomology_dims(x) == cohomology_dims(c) == {0: 1}
+    assert hom_support(x, x).dims == {0: 1}
 
 
 def test_samplers_are_seed_deterministic():

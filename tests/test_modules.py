@@ -69,7 +69,7 @@ def test_module_map_composition_and_kernel():
     (f,) = hom_space(p0, s0)
     assert _surjective(f)
     k = syzygy(s0)
-    assert k.dims == [0, 1]  # the radical of P0, i.e. P1
+    assert k.dims == (0, 1)  # the radical of P0, i.e. P1
 
 
 def _random_map(m, n, rng):
@@ -142,7 +142,7 @@ def test_inj_dim_a2():
 def test_minimal_resolution_terms():
     a = a2()
     res = minimal_resolution(a.simple(0), 5)
-    assert [t.dims for t in res.terms] == [[1, 1], [0, 1]]
+    assert [t.dims for t in res.terms] == [(1, 1), (0, 1)]
     assert res.status.value == 1
     d1 = res.differentials[0]
     assert res.augmentation.compose(d1).is_zero()
@@ -168,7 +168,7 @@ def test_yoneda_coordinates_roundtrip():
 def test_direct_sum_offsets():
     a = a2()
     m = direct_sum_modules(a, [a.projective(0), a.projective(1)])
-    assert m.dims == [1, 2]
+    assert m.dims == (1, 2)
     assert projsum_offsets(a, [0, 1])[1][1] == 1
 
 
@@ -203,7 +203,7 @@ def test_projsum_offsets_are_new_lists():
     alg = linear4()
     verts = (0, 2, 1)
     want = [[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]]
-    # the offsets come from the basis, without building or remembering the sum
+    # the offsets come from the projectives, without building or remembering the sum
     assert projsum_offsets(alg, verts) == want
     assert alg._projsum_cache == {}
     offsets = projsum_offsets(alg, verts)
@@ -220,7 +220,7 @@ def test_quotient_module():
     rad = radical_basis(p)
     sub = submodule_closure(p, rad)
     q, proj = quotient_module(p, sub)
-    assert q.dims == [1]
+    assert q.dims == (1,)
     assert _surjective(proj)
     assert modules_isomorphic(q, a.simple(0)) is True
 
@@ -346,7 +346,7 @@ def test_kernel_of_refuses_a_map_that_is_not_a_module_map():
     P_0 there, and the arrow moves it out of the kernel at vertex 1."""
     a = a2()
     p0, s1 = a.projective(0), a.simple(1)
-    assert p0.dims == [1, 1] and s1.dims == [0, 1]
+    assert p0.dims == (1, 1) and s1.dims == (0, 1)
     f = ModuleMap(p0, s1, [Matrix.zeros(a.field, 0, 1), Matrix(a.field, 1, 1, [[1]])], check=False)
     assert not f.commutes()
     with pytest.raises(RuntimeError, match="arrow-stable"):
@@ -607,9 +607,10 @@ def _memos(obj):
 
 def test_copies_of_modules_and_maps_leave_their_memos_behind():
     """A copy carries no remembered resolution or basis: a deep copy
-    shares its original's algebra and matrices, which refuse an edit, and
-    a copy given another matrix is answered from its own content, never
-    from the original's."""
+    shares its original's algebra and matrices, which refuse an edit, as
+    its arrow mapping does, and a copy given another matrix, built through
+    the constructor, is answered from its own content, never from the
+    original's."""
     a = a2()
     p = a.projective(0)
     assert proj_dim(p, 5).describe() == "Finite(0)"
@@ -617,10 +618,11 @@ def test_copies_of_modules_and_maps_leave_their_memos_behind():
     assert m == p and m.algebra is a and m.arrow_mats["a"] is p.arrow_mats["a"]
     with pytest.raises(TypeError):
         m.arrow_mats["a"].data[0][0] = 0
-    m.arrow_mats["a"] = Matrix(a.field, 1, 1, [[0]])  # m is now S_0 + S_1
-    assert proj_dim(m, 5).describe() == "Finite(1)"
-    fresh = Module(m.algebra, [1, 1], {"a": Matrix(m.algebra.field, 1, 1, [[0]])})
-    assert proj_dim(fresh, 5).describe() == "Finite(1)"
+    with pytest.raises(TypeError):
+        m.arrow_mats["a"] = Matrix(a.field, 1, 1, [[0]])
+    assert m == p and proj_dim(m, 5).describe() == "Finite(0)"
+    other = Module(m.algebra, m.dims, {**m.arrow_mats, "a": Matrix(a.field, 1, 1, [[0]])})
+    assert proj_dim(other, 5).describe() == "Finite(1)"  # S_0 + S_1
     d = next(itertools.islice(resolution_steps(a.simple(0)), 1, None))[2]
     _basis_of(d, 1, kernel_basis)
     assert _memos(p) == ["_resolution"] and _memos(d) == ["_bases"]
@@ -630,6 +632,20 @@ def test_copies_of_modules_and_maps_leave_their_memos_behind():
     q = pickle.loads(pickle.dumps(p))
     assert q.dims == p.dims and q.arrow_mats["a"].data == p.arrow_mats["a"].data
     assert q.algebra is not a
+
+
+def test_a_shallow_copy_of_a_module_cannot_edit_its_original():
+    """A shallow copy shares the arrow matrices of its original, which
+    refuse an edit through the copy: the projective the algebra hands out
+    and its remembered resolution stay as they were."""
+    a = a2()
+    p = a.projective(0)
+    assert proj_dim(p, 5).describe() == "Finite(0)"
+    c = copy.copy(p)
+    with pytest.raises(TypeError):
+        c.arrow_mats["a"] = Matrix(a.field, 1, 1, [[0]])
+    assert a.projective(0) is p and p.arrow_mats["a"] == Matrix(a.field, 1, 1, [[1]])
+    assert c == p and proj_dim(p, 5).describe() == proj_dim(c, 5).describe() == "Finite(0)"
 
 
 def test_lazy_resolution_covers_each_step_once(monkeypatch):

@@ -135,11 +135,12 @@ def test_proj_multiplicities_must_be_non_negative_ints(mults):
 
 
 def test_proj_terms_build_only_their_projectives():
-    """The size check of a "proj" term reads the fibers from the basis of
-    the algebra, so a vertex of multiplicity zero gets no projective."""
+    """The size check of a "proj" term reads the fibers from the dimension
+    vectors of the projectives it names, so a vertex of multiplicity zero
+    gets no projective."""
     a = nakayama3()
     x = complex_from_json(a, {"terms": {"0": {"proj": [0, 2, 0]}}})
-    assert x.terms[0].dims == [0, 2, 2]
+    assert x.terms[0].dims == (0, 2, 2)
     assert set(a._proj_cache) == {1}
 
 

@@ -1,10 +1,10 @@
 """Shared builders for the algebras used across the test suite, an
-entry-for-entry comparison of complexes, and a check that a matrix cannot
-be edited."""
+entry-for-entry comparison of complexes, and a check that a matrix, a
+module, a complex or a read-only mapping cannot be edited."""
 
 import pytest
 
-from findim import GF, QQ, Quiver, Relation, build_algebra
+from findim import GF, QQ, Complex, Matrix, Module, Quiver, Relation, build_algebra
 
 
 def k_algebra(field=None):
@@ -63,14 +63,55 @@ def assert_same_complex(got, ref):
         same_mats(got.diffs[n].mats, d.mats)
 
 
-def assert_frozen(m):
-    """Rows in a tuple, entries in tuple rows (exact tuples, which nothing
-    can edit): writing a row or an entry raises TypeError."""
-    assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
-    assert len(m.data) == m.rows and all(len(row) == m.cols for row in m.data)
-    if m.rows:
-        with pytest.raises(TypeError):
-            m.data[0] = m.data[0]
-        if m.cols:
+def assert_frozen(obj):
+    """That nothing in a matrix, a module, a complex or a read-only mapping
+    can be edited.
+
+    A matrix has its rows in a tuple and its entries in tuple rows (exact
+    tuples, which nothing can edit): writing a row or an entry raises
+    TypeError.  A module has a tuple dimension vector and a read-only
+    mapping of frozen arrow matrices; a complex has read-only mappings of
+    frozen terms, of differentials with frozen matrices, and of
+    descriptors.  On a read-only mapping, item assignment, ``del``,
+    ``pop``, ``update``, ``clear`` and ``setdefault`` all raise and leave
+    its items as they were.
+    """
+    if isinstance(obj, Matrix):
+        m = obj
+        assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
+        assert len(m.data) == m.rows and all(len(row) == m.cols for row in m.data)
+        if m.rows:
             with pytest.raises(TypeError):
-                m.data[0][0] = m.data[0][0]
+                m.data[0] = m.data[0]
+            if m.cols:
+                with pytest.raises(TypeError):
+                    m.data[0][0] = m.data[0][0]
+    elif isinstance(obj, Module):
+        assert type(obj.dims) is tuple
+        assert_frozen(obj.arrow_mats)
+        for mat in obj.arrow_mats.values():
+            assert_frozen(mat)
+    elif isinstance(obj, Complex):
+        for mapping in (obj.terms, obj.diffs, obj.proj_verts):
+            if mapping is not None:
+                assert_frozen(mapping)
+        for t in obj.terms.values():
+            assert_frozen(t)
+        for d in obj.diffs.values():
+            for mat in d.mats:
+                assert_frozen(mat)
+    else:
+        before = list(obj.items())
+        key = next(iter(obj), 0)
+        edits = (
+            lambda: obj.__setitem__(key, None),
+            lambda: obj.__delitem__(key),
+            lambda: obj.pop(key),
+            lambda: obj.update({key: None}),
+            lambda: obj.clear(),
+            lambda: obj.setdefault(key, None),
+        )
+        for edit in edits:
+            with pytest.raises((TypeError, AttributeError)):
+                edit()
+        assert list(obj.items()) == before
