@@ -607,37 +607,43 @@ def certificate_for_hom_p(y: Complex, d: int, cutoff: int) -> ThickCertificate:
 # -- ghost maps --------------------------------------------------------------
 
 
-def ghost_maps(m: Module, n: int) -> Tuple[List[ChainMap], ChainMap]:
-    """The chain of n ghost maps between windows of the resolution of m,
-    and their composite.
-
-    The first 2n+2 terms of the minimal resolution are taken as they come,
-    never stopping early on periodicity, so the windows always see genuine
-    resolution differentials.  phi_i maps the window [-n-i, -i+1] to the
-    window [-n-i-1, -i] by the identity in every shared degree.  Each phi_i
-    induces zero on cohomology (asserted), so the composite is a composite
-    of n ghosts.  The target window of phi_i is the source window of
-    phi_{i+1}, so the n+1 windows and the identity of each term are built
-    once and shared.
-    """
+def _ghost_windows(m: Module, n: int, ks: Sequence[int]):
+    """The windows [-n-k-1, -k], k in ks, of the first 2n+2 terms of the
+    minimal resolution of m (never stopped early on periodicity), and the
+    identity of each term.  The n ghost maps between the windows k = 0..n
+    are checked once, as the one map psi: [-2n, 0] -> [-2n-1, -1] that is
+    the identity on -2n..-1 and restricts to each of them: its checks read
+    the (differential, degree, vertex) triples of theirs together."""
     if n < 1:
         raise ValueError("need at least one ghost map")
     q = resolution_complex(m, 2 * n + 2)
     ids = {deg: ModuleMap.identity(t) for deg, t in q.terms.items()}
-    windows = [stupid_truncate(q, -n - k - 1, -k) for k in range(n + 1)]
-    maps: List[ChainMap] = []
-    for src, tgt in zip(windows, windows[1:]):
-        comps = {deg: ids[deg] for deg in src.terms if deg in tgt.terms}
-        phi = ChainMap(src, tgt, comps, check=False)
-        if not phi.commutes():
-            raise RuntimeError("ghost window map fails to be a chain map")
-        if not induced_cohomology_zero(phi):
-            raise RuntimeError("ghost map is not ghost")
-        maps.append(phi)
-    composite = maps[0]
-    for phi in maps[1:]:
-        composite = phi.compose(composite)
-    return maps, composite
+    top, bottom = stupid_truncate(q, -2 * n, 0), stupid_truncate(q, -2 * n - 1, -1)
+    psi = _identity_on_shared(top, bottom, ids)
+    if not psi.commutes():
+        raise RuntimeError("ghost window map fails to be a chain map")
+    if not induced_cohomology_zero(psi):
+        raise RuntimeError("ghost map is not ghost")
+    return [stupid_truncate(q, -n - k - 1, -k) for k in ks], ids
+
+
+def _identity_on_shared(src: Complex, tgt: Complex, ids: Dict[int, ModuleMap]) -> ChainMap:
+    """The chain map src -> tgt that is the identity on the degrees both share."""
+    comps = {deg: ids[deg] for deg in src.terms if deg in tgt.terms}
+    return ChainMap(src, tgt, comps, check=False)
+
+
+def ghost_maps(m: Module, n: int) -> Tuple[List[ChainMap], ChainMap]:
+    """The chain of n ghost maps between windows of the resolution of m,
+    and their composite.
+
+    phi_i maps the window [-n-i, -i+1] to the window [-n-i-1, -i] by the
+    identity in every shared degree and induces zero on cohomology, so the
+    composite, the identity on the two degrees that the first and the last
+    window share, is a composite of n ghosts."""
+    windows, ids = _ghost_windows(m, n, range(n + 1))
+    maps = [_identity_on_shared(s, t, ids) for s, t in zip(windows, windows[1:])]
+    return maps, _identity_on_shared(windows[0], windows[-1], ids)
 
 
 def ghost_pd_oracle(m: Module, n: int, cutoff: int) -> bool:
@@ -653,5 +659,5 @@ def ghost_pd_oracle(m: Module, n: int, cutoff: int) -> bool:
         raise ValueError("oracle needs n >= 1")
     if m.is_zero():
         return True
-    _, composite = ghost_maps(m, n + 1)
-    return null_homotopy(composite) is not None
+    (first, last), ids = _ghost_windows(m, n + 1, (0, n + 1))
+    return null_homotopy(_identity_on_shared(first, last, ids)) is not None

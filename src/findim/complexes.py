@@ -146,23 +146,24 @@ class Complex(_Memoized):
         return f"Complex({dims})"
 
 
-class ChainMap:
-    """Degreewise module maps commuting with the differentials."""
+class ChainMap(_Memoized):
+    """Degreewise module maps commuting with the differentials, in the
+    read-only mapping `comps`."""
 
     def __init__(
         self,
         source: Complex,
         target: Complex,
-        comps: Dict[int, ModuleMap],
+        comps: Mapping[int, ModuleMap],
         check: bool = True,
     ):
         self.source = source
         self.target = target
-        self.comps = {
+        self.comps = MappingProxyType({
             n: f
             for n, f in comps.items()
             if n in source.terms and n in target.terms and not f.is_zero()
-        }
+        })
         if check and not self.commutes():
             raise ValueError("components do not commute with the differentials")
 
@@ -215,15 +216,6 @@ class ChainMap:
             check=False,
         )
 
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        degs = set(self.comps) | set(other.comps)
-        return ChainMap(
-            self.source,
-            self.target,
-            {n: self.comp(n) + other.comp(n) for n in degs},
-            check=False,
-        )
-
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         degs = set(self.comps) | set(other.comps)
         return ChainMap(
@@ -233,22 +225,15 @@ class ChainMap:
             check=False,
         )
 
-    def scale(self, c) -> "ChainMap":
-        return ChainMap(
-            self.source,
-            self.target,
-            {n: f.scale(c) for n, f in self.comps.items()},
-            check=False,
-        )
 
+class Homotopy(_Memoized):
+    """Degree -1 maps h^n : X^n -> Y^{n-1} witnessing a null-homotopy,
+    in a read-only mapping."""
 
-class Homotopy:
-    """Degree -1 maps h^n : X^n -> Y^{n-1} witnessing a null-homotopy."""
-
-    def __init__(self, source: Complex, target: Complex, maps: Dict[int, ModuleMap]):
+    def __init__(self, source: Complex, target: Complex, maps: Mapping[int, ModuleMap]):
         self.source = source
         self.target = target
-        self.maps = dict(maps)
+        self.maps = MappingProxyType(dict(maps))
 
     def map_at(self, n: int) -> ModuleMap:
         h = self.maps.get(n)
@@ -552,39 +537,39 @@ class HomComplex:
         self.y = y
         self.algebra = x.algebra
         self.field = x.algebra.field
-        self._blocks: Dict[int, List[Tuple[int, int]]] = {}  # n -> [(k, dim)]
-        if x.terms and y.terms:
-            lo = y.min_deg - x.max_deg
-            hi = y.max_deg - x.min_deg
-        else:
-            lo, hi = 0, -1
-        self._lo, self._hi = lo, hi
-        for n in range(lo, hi + 1):
-            blocks = []
-            for k in x.support:
-                if k + n in y.terms:
-                    d = yoneda_dim(self.algebra, x.proj_verts[k], y.term(k + n))
-                    blocks.append((k, d))
-            self._blocks[n] = blocks
+        self._block_cache: Dict[int, List[Tuple[int, int]]] = {}  # n -> [(k, dim)]
         # (degree of y, basis index) -> rows of y^degree.act_path(path)
         self._act_cache: Dict[Tuple[int, int], Tuple[Tuple, ...]] = {}
 
+    def _blocks(self, n: int) -> List[Tuple[int, int]]:
+        """(k, dim Hom_A(x^k, y^{k+n})) for each term x^k with y^{k+n}
+        nonzero, computed the first time degree n is read."""
+        blocks = self._block_cache.get(n)
+        if blocks is None:
+            x, y = self.x, self.y
+            blocks = self._block_cache[n] = [
+                (k, yoneda_dim(self.algebra, x.proj_verts[k], y.terms[k + n]))
+                for k in x.support
+                if k + n in y.terms
+            ]
+        return blocks
+
     def dim(self, n: int) -> int:
-        return sum(d for _, d in self._blocks.get(n, []))
+        return sum(d for _, d in self._blocks(n))
 
     # coordinates <-> collections of per-degree module maps
 
     def decode(self, n: int, coords: Sequence) -> Dict[int, ModuleMap]:
         out: Dict[int, ModuleMap] = {}
         pos = 0
-        for k, d in self._blocks.get(n, []):
+        for k, d in self._blocks(n):
             out[k] = self.decode_block(n, k, coords[pos : pos + d])
             pos += d
         return out
 
     def encode(self, n: int, maps: Dict[int, ModuleMap]) -> List:
         coords: List = []
-        for k, d in self._blocks.get(n, []):
+        for k, d in self._blocks(n):
             f = maps.get(k)
             if f is None:
                 coords.extend([self.field.zero()] * d)
@@ -616,13 +601,13 @@ class HomComplex:
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
         row_off: Dict[int, int] = {}
         rows = 0
-        for k, d in self._blocks.get(n + 1, []):
+        for k, d in self._blocks(n + 1):
             row_off[k] = rows
             rows += d
         cols = self.dim(n)
         data = [[zero] * cols for _ in range(rows)]
         col = 0
-        for k, d in self._blocks.get(n, []):
+        for k, d in self._blocks(n):
             verts = self.x.proj_verts[k]
             dims = self.y.term(k + n).dims
             if k in row_off:
@@ -678,9 +663,10 @@ class HomComplex:
         """dim H^n = dim - rank delta^n - rank delta^{n-1} for every degree,
         carrying the rank of delta^{n-1} forward from the degree before.
         Below the lowest degree the Hom complex is zero."""
-        out = {}
-        rprev = 0
-        for n in range(self._lo, self._hi + 1):
+        x, y = self.x, self.y
+        lo, hi = (y.min_deg - x.max_deg, y.max_deg - x.min_deg) if x.terms and y.terms else (0, -1)
+        out, rprev = {}, 0
+        for n in range(lo, hi + 1):
             dn = self.diff_matrix(n)
             r = rank(dn)
             d = dn.cols - r - rprev

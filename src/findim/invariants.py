@@ -16,7 +16,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import List, Mapping, Optional
 
-from .linalg import Matrix
+from .linalg import Matrix, kernel_basis
 from .modules import (
     Module,
     proj_dim,
@@ -30,7 +30,6 @@ from .complexes import (
     ChainMap,
     Complex,
     HomComplex,
-    chain_map_basis,
     cone,
     direct_sum,
     projsum_complex,
@@ -215,14 +214,13 @@ def random_module(algebra, rng: random.Random, max_gens: int = 2) -> Module:
 
 
 def random_chain_map(x: Complex, y: Complex, rng: random.Random) -> ChainMap:
-    """A random field-linear combination of a chain-map basis (may be zero)."""
-    basis = chain_map_basis(x, y)
-    acc = ChainMap.zero(basis[0].source if basis else x, y)
-    for b in basis:
-        c = random_scalar(x.algebra.field, rng)
-        if c != 0:
-            acc = acc + b.scale(c)
-    return acc
+    """A random field-linear combination of the chain-map basis of
+    `chain_map_basis(x, y)` (may be zero), one scalar per basis map in
+    order, taken in the coordinates of the Hom complex and decoded once."""
+    hc = HomComplex(x, y)
+    kb = kernel_basis(hc.diff_matrix(0))
+    coeffs = [random_scalar(x.algebra.field, rng) for _ in range(kb.cols)]
+    return ChainMap(hc.x, y, hc.decode(0, kb.apply(coeffs)), check=False)
 
 
 def random_perfect_complex(algebra, rng: random.Random) -> Complex:

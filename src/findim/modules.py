@@ -35,12 +35,12 @@ from .linalg import (
 
 class _Memoized:
     """Base of the objects that remember answers on themselves, in
-    underscore attributes.  Copies and pickles leave those behind, so no
-    weak reference of a memo is copied and a copy computes its own answers.
-    A read-only mapping travels as a plain dict and is wrapped again on
-    arrival.  A deep copy shares the algebra and the matrices of its
-    original, which refuse an edit, and so equals it; a pickled copy works
-    over an algebra of its own."""
+    underscore attributes, or hold read-only mappings.  Copies and pickles
+    leave the answers behind, so no weak reference of a memo is copied and
+    a copy computes its own answers.  A read-only mapping travels as a
+    plain dict and is wrapped again on arrival.  A deep copy shares the
+    algebra and the matrices of its original, which refuse an edit, and so
+    equals it; a pickled copy works over an algebra of its own."""
 
     def __getstate__(self):
         state = {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
@@ -71,6 +71,9 @@ class Module(_Memoized):
                 mats[a.id] = m
             if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
                 raise ValueError(f"arrow {a.id!r}: matrix shape does not match dims")
+        if len(mats) > len(algebra.quiver.arrows):
+            known = {a.id for a in algebra.quiver.arrows}
+            raise ValueError(f"unknown arrow id(s) {sorted(k for k in mats if k not in known)}")
         self.arrow_mats = MappingProxyType(mats)
         if check:
             self._check_relations()

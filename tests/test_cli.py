@@ -229,6 +229,24 @@ def test_long_resolution_over_q_runs_no_search():
     assert proc.stdout.splitlines()[-1] == "proj_dim: AtLeastCutoff"
 
 
+def test_long_ghost_chain_answers_within_the_limit():
+    """The ghost oracle with n = 3000 over the dual numbers reads 6,004
+    resolution terms; its checks and its composite grow linearly in n, so
+    it answers within the time and memory limit."""
+    proc = _findim_limited("ghost", data("dual_numbers.json"), data("dn_simple.json"), "3000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "ghost composite: not null-homotopic; pd AtLeastCutoff; periodic (Omega^1 ~ Omega^0)"
+    )
+
+
+def test_unknown_arrow_id_in_a_module_document_exit_2(tmp_path, capsys):
+    doc = tmp_path / "module.json"
+    doc.write_text('{"dim_vector": [1, 1], "arrows": {"b": [[1]]}}')
+    assert main(["pd", data("a2.json"), str(doc)]) == 2
+    assert capsys.readouterr().err == "parse error: bad module document: unknown arrow id(s) ['b']\n"
+
+
 def test_huge_vertex_count_exit_3(tmp_path):
     """10^9 vertices are more trivial paths than the path budget allows,
     which is checked before any path is listed."""

@@ -38,6 +38,7 @@ from findim.invariants import (
     random_chain_map,
     random_module,
     random_perfect_complex,
+    random_scalar,
     resolution_complex,
     resolve_to_perfect,
 )
@@ -57,7 +58,15 @@ from findim.modules import (
     projsum_module,
     resolution_steps,
 )
-from util import a2, assert_frozen, assert_same_complex, dual_numbers, linear4, nakayama3
+from util import (
+    a2,
+    assert_frozen,
+    assert_same_complex,
+    dual_numbers,
+    linear4,
+    nakayama3,
+    same_mats,
+)
 
 
 def res_s0(a):
@@ -484,7 +493,7 @@ def test_fast_checks_refuse_an_edit_and_see_a_rebuilt_window():
     with that entry changed, after the checks have run, shows in both
     checks as it does in the references, and the original still passes."""
     a = dual_numbers(GF(3))
-    maps, _ = ghost_maps(a.simple(0), 2)  # runs both checks on each window
+    maps, _ = ghost_maps(a.simple(0), 2)  # runs both checks on the chain
     phi = maps[0]
     diffs = list(phi.source.diffs.values()) + list(phi.target.diffs.values())
     mats = {id(m): m for f in diffs + list(phi.comps.values()) for m in f.mats}
@@ -534,6 +543,150 @@ def test_ghost_oracle_tests_each_exactness_once(monkeypatch):
     diffs = [d for _, _, d, _ in itertools.islice(resolution_steps(m), 16)][1:]
     assert len(diffs) == 15
     assert 0 < calls <= len(diffs) * alg.num_vertices
+
+
+def test_ghost_oracle_products_grow_linearly(monkeypatch):
+    """The matrix products that the checks in complexes make for
+    ghost_pd_oracle(m, n) grow linearly in n: at n = 80 at most 2.5 times
+    those at n = 40, with m the simple over the dual numbers, built anew
+    for each n so that no memo is shared."""
+    calls = 0
+    real_product = complexes._product
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return real_product(a, b)
+
+    monkeypatch.setattr(complexes, "_product", counted)
+    counts = []
+    for n in (40, 80):
+        calls = 0
+        assert ghost_pd_oracle(dual_numbers(GF(2)).simple(0), n, 0) is False
+        counts.append(calls)
+    assert 0 < counts[1] <= 2.5 * counts[0]
+
+
+# -- the ghost chain against its window-by-window fold -----------------------
+
+
+def _ghost_maps_reference(m, n):
+    """ghost_maps as a fold: every window map built and checked on its own,
+    and the composite composed map by map."""
+    if n < 1:
+        raise ValueError("need at least one ghost map")
+    q = certificates.resolution_complex(m, 2 * n + 2)
+    ids = {deg: ModuleMap.identity(t) for deg, t in q.terms.items()}
+    windows = [stupid_truncate(q, -n - k - 1, -k) for k in range(n + 1)]
+    maps = []
+    for src, tgt in zip(windows, windows[1:]):
+        comps = {deg: ids[deg] for deg in src.terms if deg in tgt.terms}
+        phi = ChainMap(src, tgt, comps, check=False)
+        if not phi.commutes():
+            raise RuntimeError("ghost window map fails to be a chain map")
+        if not induced_cohomology_zero(phi):
+            raise RuntimeError("ghost map is not ghost")
+        maps.append(phi)
+    composite = maps[0]
+    for phi in maps[1:]:
+        composite = phi.compose(composite)
+    return maps, composite
+
+
+def _assert_same_chain_map(got, ref):
+    """The same windows, and components on the same degrees between the
+    same term objects, with equal matrices."""
+    assert_same_complex(got.source, ref.source)
+    assert_same_complex(got.target, ref.target)
+    assert list(got.comps) == list(ref.comps)
+    for n, f in ref.comps.items():
+        g = got.comps[n]
+        assert g.source is f.source and g.target is f.target and g.mats == f.mats
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_ghost_chain_matches_the_window_fold(build, field):
+    """For n = 1..6 the window maps of ghost_maps, its composite built
+    directly, and the oracle's verdict are those of the fold."""
+    for m in enumerate_modules(build(field), 3):
+        if m.is_zero():
+            continue
+        for n in range(1, 7):
+            maps, composite = ghost_maps(m, n)
+            ref_maps, ref_composite = _ghost_maps_reference(m, n)
+            assert len(maps) == len(ref_maps) == n
+            for got, ref in zip(maps + [composite], ref_maps + [ref_composite]):
+                _assert_same_chain_map(got, ref)
+            verdict = null_homotopy(ref_composite) is not None
+            assert (null_homotopy(composite) is not None) == verdict
+            if n > 1:
+                assert ghost_pd_oracle(m, n - 1, 0) == verdict
+
+
+def _outcome(build, m, n):
+    """None when build(m, n) returns, else the type and message it raised."""
+    try:
+        build(m, n)
+    except RuntimeError as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_ghost_chain_refuses_a_tampered_resolution_as_the_fold_does(build, field, monkeypatch):
+    """With one entry of one differential of the resolution changed, in
+    turn every entry to every other value for n = 1..3, ghost_maps raises
+    the error of the fold in exactly the cases where the fold raises one."""
+    outcomes = set()
+    for m in enumerate_modules(build(field), 2):
+        if m.is_zero():
+            continue
+        for n in (1, 2, 3):
+            q = resolution_complex(m, 2 * n + 2)
+            for _, d in sorted(q.diffs.items()):
+                for mat in d.mats:
+                    cells = itertools.product(range(mat.rows), range(mat.cols), range(field.p))
+                    for r, c, value in cells:
+                        if value == mat.data[r][c]:
+                            continue
+                        new = _with_entry(mat, r, c, value)
+                        bad = _rebuilt(ChainMap.zero(q, q), mat, new).source
+                        monkeypatch.setattr(certificates, "resolution_complex", lambda *_: bad)
+                        got = _outcome(ghost_maps, m, n)
+                        assert got == _outcome(_ghost_maps_reference, m, n)
+                        outcomes.add(got)
+                        monkeypatch.undo()
+    assert outcomes == {None, (RuntimeError, "ghost map is not ghost")}
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+@pytest.mark.parametrize("build", [a2, dual_numbers, nakayama3], ids=lambda b: b.__name__)
+def test_random_chain_map_is_the_combination_of_the_basis(build, field):
+    """random_chain_map(x, y, rng) is the sum of c * b over the maps b of
+    chain_map_basis(x, y), with one draw c of random_scalar per map, in
+    order, and leaves rng where those draws do."""
+    alg = build(field)
+    rng = random.Random(5)
+    for _ in range(6):
+        x = random_perfect_complex(alg, rng)
+        for y in (x, shift(x, 1), random_perfect_complex(alg, rng)):
+            seed = rng.random()
+            got_rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = random_chain_map(x, y, got_rng)
+            comps = {}
+            for b in chain_map_basis(x, y):
+                c = random_scalar(field, ref_rng)
+                for n, f in b.comps.items():
+                    term = f.scale(c)
+                    comps[n] = comps[n] + term if n in comps else term
+            ref = ChainMap(x, y, comps, check=False)
+            assert got.source is x and got.target is y
+            assert got_rng.getstate() == ref_rng.getstate()
+            assert set(got.comps) == set(ref.comps)
+            for n, f in ref.comps.items():
+                same_mats(got.comps[n].mats, f.mats)
 
 
 # -- cohomology against its construction by coset representatives ------------

@@ -1,7 +1,8 @@
 """Static hygiene of the library source: no unused imports, no unused
 private helpers, no draws from the shared generator of ``random``, and no
 write into the rows of a matrix; and, at run time, matrices, modules,
-complexes and remembered answers that refuse an edit.
+complexes, chain maps, homotopies and remembered answers that refuse an
+edit.
 
 A stdlib ``ast`` scan of every module in src/findim except the package
 ``__init__.py``, whose imports are its re-exports.  An imported name counts
@@ -17,9 +18,11 @@ of a ``.data`` attribute.
 """
 
 import ast
+import copy
 import dataclasses
 import itertools
 import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -35,8 +38,10 @@ from findim import (
     Module,
     cone,
     direct_sum,
+    ghost_maps,
     hom_space,
     hom_support,
+    null_homotopy,
     projective_cover,
     random_chain_map,
     random_perfect_complex,
@@ -45,10 +50,11 @@ from findim import (
     stupid_truncate,
 )
 from findim.certificates import minimize_perfect
-from findim.complexes import cohomology, cohomology_dims, standardize_perfect
-from findim.invariants import resolution_complex
+from findim.complexes import chain_map_basis, cohomology, cohomology_dims, standardize_perfect
+from findim.invariants import resolution_complex, resolve_to_perfect
 from findim.linalg import column_space_basis, kernel_basis, rref, solve_matrix
 from findim.modules import (
+    ModuleMap,
     direct_sum_modules,
     kernel_of,
     projsum_module,
@@ -56,7 +62,16 @@ from findim.modules import (
     radical_basis,
     resolution_steps,
 )
-from findim.serialize import complex_from_json, complex_to_json, module_from_json, module_to_json
+from findim.serialize import (
+    chain_map_from_json,
+    chain_map_to_json,
+    complex_from_json,
+    complex_to_json,
+    homotopy_from_json,
+    homotopy_to_json,
+    module_from_json,
+    module_to_json,
+)
 from util import a2, assert_frozen, dual_numbers
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "findim")
@@ -341,3 +356,54 @@ def test_every_module_and_complex_refuses_an_edit(field):
             support.dims = {}
         for obj in mods + complexes + [cohomology_dims(c), support.dims]:
             assert_frozen(obj)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+def test_every_chain_map_and_homotopy_refuses_an_edit(field):
+    """The chain maps and homotopies of every constructor and operation,
+    and their deep and pickled copies, have read-only mappings of maps
+    with frozen matrices; a copy has the components of its original."""
+    rng = random.Random(7)
+    for alg in (a2(field), dual_numbers(field)):
+        x = random_perfect_complex(alg, rng)
+        y = shift(x, 1)
+        plain = Complex(alg, x.terms, x.diffs, check=False)
+        contractible = cone(ChainMap.identity(x))
+        f = random_chain_map(x, x, rng)
+        ghosts, composite = ghost_maps(alg.simple(0), 2)
+        maps = [
+            ChainMap(x, x, {n: ModuleMap.identity(t) for n, t in x.terms.items()}),
+            ChainMap.identity(x),
+            ChainMap.zero(x, y),
+            f.compose(random_chain_map(x, x, rng)),
+            f - ChainMap.identity(x),
+            *chain_map_basis(x, x),
+            f,
+            random_chain_map(x, y, rng),
+            standardize_perfect(plain)[1],
+            minimize_perfect(direct_sum(alg, [x, contractible]))[1],
+            *ghosts,
+            composite,
+            chain_map_from_json(x, x, chain_map_to_json(f)),
+        ]
+        h = null_homotopy(ChainMap.identity(contractible))
+        assert h is not None and h.maps
+        homotopies = [h, homotopy_from_json(contractible, contractible, homotopy_to_json(h))]
+        for obj in maps + homotopies:
+            assert_frozen(obj)
+            for c in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert_frozen(c)
+                got, ref = (c.comps, obj.comps) if isinstance(obj, ChainMap) else (c.maps, obj.maps)
+                assert list(got) == list(ref)
+                assert all(got[n].mats == ref[n].mats for n in ref)
+
+
+def test_a_checked_chain_map_cannot_be_edited():
+    """Writing a zero component into the identity of the resolution of S_0
+    over a2 raises, and the identity still commutes."""
+    a = a2()
+    x = resolve_to_perfect(a.simple(0), 4)
+    f = ChainMap.identity(x)
+    with pytest.raises(TypeError):
+        f.comps[-1] = ModuleMap.zero(x.term(-1), x.term(-1))
+    assert f.commutes() and set(f.comps) == {-1, 0}

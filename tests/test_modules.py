@@ -55,6 +55,17 @@ def test_module_relation_check():
     assert m.total_dim == 2
 
 
+def test_module_refuses_an_arrow_the_quiver_lacks():
+    """A mistyped arrow id raises, naming it, instead of building the
+    module with that arrow set to zero (S_0 + S_1 over a2)."""
+    a = a2()
+    one = Matrix(a.field, 1, 1, [[1]])
+    with pytest.raises(ValueError, match=r"unknown arrow id\(s\) \['b'\]"):
+        Module(a, [1, 1], {"b": one})
+    with pytest.raises(ValueError, match=r"\['b', 'c'\]"):
+        Module(a, [1, 1], {"a": one, "c": one, "b": one})
+
+
 def test_hom_spaces_a2():
     a = a2()
     p0, s0, s1 = a.projective(0), a.simple(0), a.simple(1)

@@ -1,10 +1,12 @@
 """Shared builders for the algebras used across the test suite, an
 entry-for-entry comparison of complexes, and a check that a matrix, a
-module, a complex or a read-only mapping cannot be edited."""
+module, a complex, a chain map, a homotopy or a read-only mapping cannot
+be edited."""
 
 import pytest
 
-from findim import GF, QQ, Complex, Matrix, Module, Quiver, Relation, build_algebra
+from findim import GF, QQ, ChainMap, Complex, Matrix, Module, Quiver, Relation, build_algebra
+from findim.complexes import Homotopy
 
 
 def k_algebra(field=None):
@@ -64,17 +66,19 @@ def assert_same_complex(got, ref):
 
 
 def assert_frozen(obj):
-    """That nothing in a matrix, a module, a complex or a read-only mapping
-    can be edited.
+    """That nothing in a matrix, a module, a complex, a chain map, a
+    homotopy or a read-only mapping can be edited.
 
     A matrix has its rows in a tuple and its entries in tuple rows (exact
     tuples, which nothing can edit): writing a row or an entry raises
     TypeError.  A module has a tuple dimension vector and a read-only
     mapping of frozen arrow matrices; a complex has read-only mappings of
     frozen terms, of differentials with frozen matrices, and of
-    descriptors.  On a read-only mapping, item assignment, ``del``,
-    ``pop``, ``update``, ``clear`` and ``setdefault`` all raise and leave
-    its items as they were.
+    descriptors.  A chain map has a read-only mapping of components, and
+    a homotopy one of maps, each with a tuple of frozen matrices.  On a
+    read-only mapping, item assignment, ``del``, ``pop``, ``update``,
+    ``clear`` and ``setdefault`` all raise and leave its items as they
+    were.
     """
     if isinstance(obj, Matrix):
         m = obj
@@ -99,6 +103,13 @@ def assert_frozen(obj):
             assert_frozen(t)
         for d in obj.diffs.values():
             for mat in d.mats:
+                assert_frozen(mat)
+    elif isinstance(obj, (ChainMap, Homotopy)):
+        maps = obj.comps if isinstance(obj, ChainMap) else obj.maps
+        assert_frozen(maps)
+        for f in maps.values():
+            assert type(f.mats) is tuple
+            for mat in f.mats:
                 assert_frozen(mat)
     else:
         before = list(obj.items())
