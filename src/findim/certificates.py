@@ -328,6 +328,17 @@ class VerificationResult:
         return self.ok
 
 
+def _term_dims(xs: Sequence[Complex]) -> Dict[int, Tuple[int, ...]]:
+    """The dimension vector of each nonzero term of the direct sum of xs,
+    without building it."""
+    dims: Dict[int, Tuple[int, ...]] = {}
+    for x in xs:
+        for n, m in x.terms.items():
+            acc = dims.get(n)
+            dims[n] = m.dims if acc is None else tuple(a + b for a, b in zip(acc, m.dims))
+    return dims
+
+
 def verify_certificate(
     cert: ThickCertificate, target: Complex, algebra
 ) -> VerificationResult:
@@ -354,8 +365,9 @@ def verify_certificate(
         elif isinstance(step, SumStep):
             if any(not (0 <= j < idx) for j in step.parts):
                 return fail(f"step {idx}: sum references a non-earlier step")
-            expect = direct_sum(algebra, [cert.steps[j].obj for j in step.parts])
-            if step.obj != expect:
+            parts = [cert.steps[j].obj for j in step.parts]
+            # dimension vectors first, so the sum built is no larger than step.obj
+            if _term_dims(parts) != _term_dims([step.obj]) or step.obj != direct_sum(algebra, parts):
                 return fail(f"step {idx}: sum object does not recompute")
             want = max((cert.steps[j].level for j in step.parts), default=0)
             if step.level != want:

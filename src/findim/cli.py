@@ -12,6 +12,7 @@ Exit codes: 0 success; 2 parse error; 3 computation budget exceeded;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -256,8 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process: parsing builds a new
+    namespace each time and leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # only the subcommands that take these options have them
         if getattr(args, "cutoff", 1) < 1:

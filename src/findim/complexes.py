@@ -121,6 +121,8 @@ class Complex(_Memoized):
         return max(self.terms) if self.terms else None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Complex) or self.algebra is not other.algebra:
             return False
         if set(self.terms) != set(other.terms):
@@ -301,7 +303,7 @@ def _direct_sum_parts(algebra, xs: Sequence[Complex]):
     terms: Dict[int, Module] = {}
     pv = None
     if all(x.proj_verts is not None for x in xs):
-        pv = {n: sum((tuple(x.proj_verts.get(n, ())) for x in xs), ()) for n in degs}
+        pv = {n: tuple(v for x in xs for v in x.proj_verts.get(n, ())) for n in degs}
         for n in degs:
             terms[n] = projsum_module(algebra, pv[n])
     else:

@@ -110,7 +110,7 @@ class Module(_Memoized):
         return self.total_dim == 0
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Module)
             and self.algebra is other.algebra
             and self.dims == other.dims

@@ -111,14 +111,16 @@ def matrix_to_json(m: Matrix) -> List[List]:
 
 
 def matrix_from_json(field: Field, rows: int, cols: int, data) -> Matrix:
+    """Each entry is read once, by `scalar_from_json`; a bad scalar is named
+    before a row of the wrong length."""
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"expected {rows} matrix rows, got {data!r}")
     if not all(isinstance(r, list) for r in data):
         raise ParseError(f"expected each matrix row to be a list, got {data!r}")
-    try:
-        return Matrix(field, rows, cols, [[scalar_from_json(field, x) for x in r] for r in data])
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    entries = tuple([tuple([scalar_from_json(field, x) for x in r]) for r in data])
+    if any(len(r) != cols for r in entries):
+        raise ParseError("matrix data does not match shape")
+    return Matrix._of(field, rows, cols, entries)
 
 
 # -- fields and algebras -----------------------------------------------------
@@ -241,10 +243,11 @@ def _mults_to_verts(algebra: FDAlgebra, mults: List[int]):
         raise ParseError(
             f'bad "proj" multiplicities {mults!r}: expected {nv} non-negative integers'
         )
-    dims = [
-        sum(k * algebra.projective(i).dims[v] for i, k in enumerate(mults) if k)
-        for v in range(nv)
-    ]
+    dims = [0] * nv
+    for i, k in enumerate(mults):
+        if k:
+            for v, d in enumerate(algebra.projective(i).dims):
+                dims[v] += k * d
     _check_module_size(algebra, dims)
     verts = []
     for v, k in enumerate(mults):

@@ -24,7 +24,6 @@ from findim import (
     inj_dim,
     proj_dim,
     random_chain_map,
-    random_module,
     random_perfect_complex,
     regularity_check,
     shift,

@@ -25,7 +25,6 @@ from findim import (
     random_chain_map,
     random_perfect_complex,
     regularity_check,
-    resolve_to_perfect,
     stalk_complex,
     verify_certificate,
 )
@@ -42,7 +41,6 @@ from findim.complexes import Homotopy, cohomology_dims, induced_cohomology_zero,
 from findim.linalg import solve_matrix
 from findim.modules import generator_positions, projsum_module, projsum_offsets
 from findim.serialize import ParseError, certificate_from_json, certificate_to_json, dumps
-from findim.invariants import hom_support
 from util import a2, assert_same_complex, dual_numbers, k_algebra, linear4, nakayama3, same_mats
 
 

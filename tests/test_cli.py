@@ -158,6 +158,76 @@ def test_bad_input_exit_2_without_traceback(argv, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# A bad matrix, the --field it is read over (None: the algebra's GF(2)), and
+# the one line of stderr it gives, through a module arrow and through a
+# certificate's compare map alike.  A bad scalar is named before a row of
+# the wrong length.
+BAD_MATRICES = {
+    "short row": ([[]], None, "matrix data does not match shape"),
+    "row not a list": ([1], None, "expected each matrix row to be a list, got [1]"),
+    "float": ([[0.5]], None, "bad scalar 0.5: expected an integer or an 'a/b' string"),
+    "boolean": ([[True]], None, "bad scalar True: expected an integer or an 'a/b' string"),
+    "1/0": ([["1/0"]], None, "bad scalar '1/0': Fraction(1, 0)"),
+    "1/3 over GF(3)": ([["1/3"]], "gfp:3", "bad scalar '1/3': denominator not invertible mod 3"),
+    "bad scalar in a short row": ([[0.5, 1]], None, "bad scalar 0.5: expected an integer or an 'a/b' string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRICES))
+@pytest.mark.parametrize("command", ["pd", "verify-certificate"])
+def test_bad_matrix_message(command, case, tmp_path, capsys):
+    mat, field, message = BAD_MATRICES[case]
+    if command == "pd":
+        doc = json.dumps({"dim_vector": [1, 1], "arrows": {"a": mat}})
+    else:
+        doc = _leaf_cert(compare={"0": [[[1]], mat]})
+    argv = [command, "a2.json", doc] + (["--field", field] if field else [])
+    assert main(_paths(argv, tmp_path)) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+    real = findim.cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(findim.cli, "build_parser", counting)
+    findim.cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["pd", data("a2.json"), data("a2_s0.json")]) == 0
+    finally:
+        findim.cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_options_of_one_call_do_not_carry_into_the_next(tmp_path, capsys):
+    """A plain pd after one with every option set reports as a new process does."""
+    argv = ["pd", data("a2.json"), data("a2_s0.json")]
+    fresh = _findim_limited(*argv)
+    assert fresh.returncode == 0, fresh.stderr
+    report = tmp_path / "report.json"
+    assert main(argv + ["--field", "Q", "--cutoff", "3", "--json", str(report), "--seed", "5"]) == 0
+    capsys.readouterr()
+    report.unlink()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh.stdout
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["pd"], 2), (["nosuch"], 2)], ids=str)
+def test_a_call_that_exits_leaves_the_next_working(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    capsys.readouterr()
+    assert main(["pd", data("a2.json"), data("a2_s0.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "proj_dim: Finite(1)"
+
+
 class _Reads(argparse.Namespace):
     """A namespace that records the names read from it."""
 
@@ -238,6 +308,20 @@ def test_long_ghost_chain_answers_within_the_limit():
     assert proc.stdout.splitlines()[-1] == (
         "ghost composite: not null-homotopic; pd AtLeastCutoff; periodic (Omega^1 ~ Omega^0)"
     )
+
+
+def test_sum_step_of_many_parts_is_refused_on_its_dimensions(tmp_path):
+    """A sum of 100,000 copies of P_0 declared as P_0: the dimension vectors
+    differ, so the verifier refuses it without building the sum."""
+    doc = json.loads(_leaf_cert())
+    p0 = doc["steps"][0]["object"]
+    doc["steps"].append({"sum": [0] * 100_000, "object": p0, "level": 1})
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    proc = _findim_limited("verify-certificate", data("a2.json"), str(cert))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[1:] == ["step 1: sum object does not recompute"]
 
 
 def test_unknown_arrow_id_in_a_module_document_exit_2(tmp_path, capsys):

@@ -5,7 +5,8 @@ complexes, chain maps, homotopies and remembered answers that refuse an
 edit.
 
 A stdlib ``ast`` scan of every module in src/findim except the package
-``__init__.py``, whose imports are its re-exports.  An imported name counts
+``__init__.py``, whose imports are its re-exports; the unused-import scan
+reads the test modules too.  An imported name counts
 as used when it appears as a name anywhere in the module, including inside
 string annotations.  A private module-level function or class (one name
 with a single leading underscore) counts as used when some module of the
@@ -75,6 +76,7 @@ from findim.serialize import (
 from util import a2, assert_frozen, dual_numbers
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "findim")
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _annotations(tree):
@@ -118,11 +120,14 @@ def unused_imports(path):
 
 
 def test_no_unused_imports():
+    """Every module of src/findim but the package __init__.py, and every
+    test module."""
     found = []
-    for fname in sorted(os.listdir(SRC)):
-        if fname.endswith(".py") and fname != "__init__.py":
-            for line, name in unused_imports(os.path.join(SRC, fname)):
-                found.append(f"src/findim/{fname}:{line}: {name}")
+    for where, folder in (("src/findim", SRC), ("tests", TESTS)):
+        for fname in sorted(os.listdir(folder)):
+            if fname.endswith(".py") and fname != "__init__.py":
+                for line, name in unused_imports(os.path.join(folder, fname)):
+                    found.append(f"{where}/{fname}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
 
 

@@ -32,7 +32,7 @@ from findim.invariants import (
     algebra_complex,
     invariants_report,
 )
-from util import a2, dual_numbers, k_algebra, nakayama3
+from util import a2, dual_numbers, nakayama3
 
 
 def test_resolve_to_perfect_shapes():

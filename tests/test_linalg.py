@@ -7,7 +7,6 @@ from util import assert_frozen
 from findim.linalg import (
     GF,
     QQ,
-    Field,
     Matrix,
     column_space_basis,
     complement_columns,

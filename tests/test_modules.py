@@ -40,7 +40,7 @@ from findim.modules import (
     submodule_closure,
     yoneda_coordinates,
 )
-from util import a2, assert_frozen, dual_numbers, k_algebra, linear4, nakayama3, same_mats
+from util import a2, assert_frozen, dual_numbers, linear4, nakayama3, same_mats
 
 
 def _surjective(f):

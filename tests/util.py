@@ -5,7 +5,7 @@ be edited."""
 
 import pytest
 
-from findim import GF, QQ, ChainMap, Complex, Matrix, Module, Quiver, Relation, build_algebra
+from findim import GF, ChainMap, Complex, Matrix, Module, Quiver, Relation, build_algebra
 from findim.complexes import Homotopy
 
 
