@@ -212,7 +212,8 @@ class FDAlgebra:
                     col[row_of[k2]] = coeff
                 columns.append(col)
             mats[arrow.id] = Matrix._of_columns(self.field, dims[l], columns)
-        mod = Module(self, dims, mats)
+        # the relations vanish on A e_i, a quotient of the path algebra by them
+        mod = Module(self, dims, mats, check=False)
         self._proj_cache[i] = mod
         return mod
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebras import BudgetExceededError
 from .linalg import Matrix, solve_matrix
@@ -339,12 +339,19 @@ def _term_dims(xs: Sequence[Complex]) -> Dict[int, Tuple[int, ...]]:
     return dims
 
 
+def _are_module_maps(*maps: Mapping[int, ModuleMap]) -> bool:
+    """Whether every map of these {degree: map} mappings commutes with the
+    arrow actions."""
+    return all(g.commutes() for m in maps for g in m.values())
+
+
 def verify_certificate(
     cert: ThickCertificate, target: Complex, algebra
 ) -> VerificationResult:
     """Recompute every step bit-exactly and check the level bookkeeping and
-    the final comparison quasi-isomorphism.  Failures are diagnostics, not
-    exceptions."""
+    the final comparison quasi-isomorphism.  Every map the certificate
+    carries must be a chain map of module maps.  Failures are diagnostics,
+    not exceptions."""
     diags: List[str] = []
 
     def fail(msg: str) -> VerificationResult:
@@ -380,7 +387,7 @@ def verify_certificate(
                 return fail(f"step {idx}: cone source must have level 1")
             if step.map.source != uo or step.map.target != vo:
                 return fail(f"step {idx}: cone map endpoints do not match")
-            if not step.map.commutes():
+            if not (step.map.commutes() and _are_module_maps(step.map.comps)):
                 return fail(f"step {idx}: cone map is not a chain map")
             expect = cone(step.map)
             if step.obj != expect:
@@ -396,7 +403,8 @@ def verify_certificate(
                 return fail(f"step {idx}: retract projection endpoints wrong")
             if step.s.source != step.obj or step.s.target != zo:
                 return fail(f"step {idx}: retract section endpoints wrong")
-            if not (step.p.commutes() and step.s.commutes()):
+            maps = (step.p.comps, step.s.comps, step.h.maps)
+            if not (step.p.commutes() and step.s.commutes() and _are_module_maps(*maps)):
                 return fail(f"step {idx}: retract maps are not chain maps")
             diff = step.p.compose(step.s) - ChainMap.identity(step.obj)
             if not step.h.certifies(diff):
@@ -409,7 +417,7 @@ def verify_certificate(
         final = cert.steps[-1].obj
         want = cert.steps[-1].level
     else:
-        final = Complex(algebra, {}, {}, proj_verts={}, check=False)
+        final = Complex(algebra, {}, {}, proj_verts={})
         want = 0
     if cert.level != want:
         return fail(f"declared level {cert.level} but construction gives {want}")
@@ -417,7 +425,7 @@ def verify_certificate(
         return fail("comparison map does not start at the final object")
     if cert.compare.target != target:
         return fail("comparison map does not end at the target")
-    if not cert.compare.commutes():
+    if not (cert.compare.commutes() and _are_module_maps(cert.compare.comps)):
         return fail("comparison map is not a chain map")
     if not is_acyclic(cone(cert.compare)):
         return fail("comparison map is not a quasi-isomorphism")
@@ -461,18 +469,16 @@ def _certificate(
         cur = leaf_sum(x.proj_verts[run[-1]], -run[-1])
         for j in reversed(run[:-1]):
             u = leaf_sum(x.proj_verts[j], -(j + 1))
-            phi = ChainMap(steps[u].obj, steps[cur].obj, {j + 1: x.diff(j)}, check=False)
+            phi = ChainMap(steps[u].obj, steps[cur].obj, {j + 1: x.diff(j)})
             cur = add(ConeStep(u, cur, phi, cone(phi), steps[cur].level + 1))
         tops.append(cur)
     if not tops:
-        return ThickCertificate("A", [], 0, ChainMap(x, target, comps, check=False))
+        return ThickCertificate("A", [], 0, ChainMap(x, target, comps))
     if len(tops) > 1:
         obj = direct_sum(algebra, [steps[j].obj for j in tops])
         tops = [add(SumStep(tops, obj, max(steps[j].level for j in tops)))]
     final = steps[tops[0]]
-    return ThickCertificate(
-        "A", steps, final.level, ChainMap(final.obj, target, comps, check=False)
-    )
+    return ThickCertificate("A", steps, final.level, ChainMap(final.obj, target, comps))
 
 
 def certificate_from_resolution(
@@ -567,27 +573,27 @@ def minimize_perfect(x: Complex) -> Tuple[Complex, ChainMap]:
             comp = Matrix.identity(fld, d.cols).submatrix(range(d.cols), b)
             at_n.append(comp.with_block(a, range(len(b)), -ainv_beta))
             at_n1.append(Matrix.identity(fld, d.rows).submatrix(range(d.rows), e))
-        diffs = {**cur.diffs, n: ModuleMap(new_src, new_tgt, dn, check=False)}
+        diffs = {**cur.diffs, n: ModuleMap(new_src, new_tgt, dn)}
         if n - 1 in diffs:
             dm = diffs[n - 1]
             mats = [m.submatrix(b, range(m.cols)) for m, (_, b) in zip(dm.mats, ssplit)]
-            diffs[n - 1] = ModuleMap(dm.source, new_src, mats, check=False)
+            diffs[n - 1] = ModuleMap(dm.source, new_src, mats)
         if n + 1 in diffs:
             dp = diffs[n + 1]
             mats = [m.submatrix(range(m.rows), e) for m, (_, e) in zip(dp.mats, tsplit)]
-            diffs[n + 1] = ModuleMap(new_tgt, dp.target, mats, check=False)
+            diffs[n + 1] = ModuleMap(new_tgt, dp.target, mats)
         terms = {**cur.terms, n: new_src, n + 1: new_tgt}
         pv = {**cur.proj_verts, n: new_sv, n + 1: new_tv}
-        nxt = Complex(algebra, terms, diffs, proj_verts=pv, check=False)
+        nxt = Complex(algebra, terms, diffs, proj_verts=pv)
         placed = {
-            n: ModuleMap(new_src, src, at_n, check=False),
-            n + 1: ModuleMap(new_tgt, tgt, at_n1, check=False),
+            n: ModuleMap(new_src, src, at_n),
+            n + 1: ModuleMap(new_tgt, tgt, at_n1),
         }
         comps = {
             deg: placed[deg] if deg in placed else ModuleMap.identity(t)
             for deg, t in nxt.terms.items()
         }
-        total = total.compose(ChainMap(nxt, cur, comps, check=False))
+        total = total.compose(ChainMap(nxt, cur, comps))
         cur = nxt
     return cur, total
 
@@ -611,7 +617,7 @@ def certificate_for_hom_p(y: Complex, d: int, cutoff: int) -> ThickCertificate:
                 f"within cutoff {cutoff}"
             )
     if not hdims:  # acyclic: the minimal model is zero
-        return _certificate(Complex(y.algebra, {}, {}, proj_verts={}, check=False), y, {})
+        return _certificate(Complex(y.algebra, {}, {}, proj_verts={}), y, {})
     zmin, qiso = minimize_perfect(y)
     return _certificate(zmin, y, qiso.comps)
 
@@ -642,7 +648,7 @@ def _ghost_windows(m: Module, n: int, ks: Sequence[int]):
 def _identity_on_shared(src: Complex, tgt: Complex, ids: Dict[int, ModuleMap]) -> ChainMap:
     """The chain map src -> tgt that is the identity on the degrees both share."""
     comps = {deg: ids[deg] for deg in src.terms if deg in tgt.terms}
-    return ChainMap(src, tgt, comps, check=False)
+    return ChainMap(src, tgt, comps)
 
 
 def ghost_maps(m: Module, n: int) -> Tuple[List[ChainMap], ChainMap]:

@@ -65,7 +65,6 @@ class Complex(_Memoized):
         terms: Mapping[int, Module],
         diffs: Mapping[int, ModuleMap],
         proj_verts: Optional[Mapping[int, Sequence[int]]] = None,
-        check: bool = True,
     ):
         self.algebra = algebra
         self.terms = MappingProxyType({n: m for n, m in terms.items() if not m.is_zero()})
@@ -77,21 +76,6 @@ class Complex(_Memoized):
             if proj_verts is not None
             else None
         )
-        if check:
-            self._validate()
-
-    def _validate(self):
-        for n, d in self.diffs.items():
-            if d.source.dims != self.term(n).dims or d.target.dims != self.term(n + 1).dims:
-                raise ValueError(f"differential at degree {n} has wrong endpoints")
-        for n in self.diffs:
-            if n + 1 in self.diffs:
-                if not self.diffs[n + 1].compose(self.diffs[n]).is_zero():
-                    raise ValueError(f"d o d != 0 at degree {n}")
-        if self.proj_verts is not None:
-            for n in self.terms:
-                if n not in self.proj_verts:
-                    raise ValueError(f"missing projective descriptor at degree {n}")
 
     # -- access ------------------------------------------------------------
 
@@ -150,15 +134,10 @@ class Complex(_Memoized):
 
 class ChainMap(_Memoized):
     """Degreewise module maps commuting with the differentials, in the
-    read-only mapping `comps`."""
+    read-only mapping `comps`.  The constructor checks nothing; `commutes`
+    checks the differentials."""
 
-    def __init__(
-        self,
-        source: Complex,
-        target: Complex,
-        comps: Mapping[int, ModuleMap],
-        check: bool = True,
-    ):
+    def __init__(self, source: Complex, target: Complex, comps: Mapping[int, ModuleMap]):
         self.source = source
         self.target = target
         self.comps = MappingProxyType({
@@ -166,8 +145,6 @@ class ChainMap(_Memoized):
             for n, f in comps.items()
             if n in source.terms and n in target.terms and not f.is_zero()
         })
-        if check and not self.commutes():
-            raise ValueError("components do not commute with the differentials")
 
     def comp(self, n: int) -> ModuleMap:
         f = self.comps.get(n)
@@ -203,11 +180,11 @@ class ChainMap(_Memoized):
 
     @classmethod
     def zero(cls, source: Complex, target: Complex) -> "ChainMap":
-        return cls(source, target, {}, check=False)
+        return cls(source, target, {})
 
     @classmethod
     def identity(cls, x: Complex) -> "ChainMap":
-        return cls(x, x, {n: ModuleMap.identity(x.terms[n]) for n in x.terms}, check=False)
+        return cls(x, x, {n: ModuleMap.identity(x.terms[n]) for n in x.terms})
 
     def compose(self, first: "ChainMap") -> "ChainMap":
         """self after first, over the degrees where both have a component."""
@@ -215,17 +192,11 @@ class ChainMap(_Memoized):
             first.source,
             self.target,
             {n: self.comps[n].compose(f) for n, f in first.comps.items() if n in self.comps},
-            check=False,
         )
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         degs = set(self.comps) | set(other.comps)
-        return ChainMap(
-            self.source,
-            self.target,
-            {n: self.comp(n) - other.comp(n) for n in degs},
-            check=False,
-        )
+        return ChainMap(self.source, self.target, {n: self.comp(n) - other.comp(n) for n in degs})
 
 
 class Homotopy(_Memoized):
@@ -260,7 +231,7 @@ class Homotopy(_Memoized):
 
 def stalk_complex(m: Module, degree: int = 0, verts: Optional[Sequence[int]] = None) -> Complex:
     pv = {degree: tuple(verts)} if verts is not None else None
-    return Complex(m.algebra, {degree: m}, {}, proj_verts=pv, check=False)
+    return Complex(m.algebra, {degree: m}, {}, proj_verts=pv)
 
 
 def projsum_complex(algebra, verts: Sequence[int], degree: int = 0) -> Complex:
@@ -277,7 +248,7 @@ def shift(x: Complex, k: int) -> Complex:
     for n, d in x.diffs.items():
         diffs[n - k] = d if sign == 1 else d.scale(-1)
     pv = {n - k: v for n, v in x.proj_verts.items()} if x.proj_verts is not None else None
-    return Complex(x.algebra, terms, diffs, proj_verts=pv, check=False)
+    return Complex(x.algebra, terms, diffs, proj_verts=pv)
 
 
 def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
@@ -289,7 +260,7 @@ def direct_sum(algebra, xs: Sequence[Complex]) -> Complex:
     summands: each row of a summand's block is set between zeros, and a
     summand with no differential in that degree contributes zero rows.
     """
-    return Complex(algebra, *_direct_sum_parts(algebra, xs), check=False)
+    return Complex(algebra, *_direct_sum_parts(algebra, xs))
 
 
 def _direct_sum_parts(algebra, xs: Sequence[Complex]):
@@ -327,7 +298,7 @@ def _direct_sum_parts(algebra, xs: Sequence[Complex]):
                     data.extend([left + row + right for row in d.mats[v].data])
                 c0 += sdims[v]
             mats.append(Matrix._of(fld, tgt.dims[v], width, tuple(data)))
-        diffs[n] = ModuleMap(src, tgt, mats, check=False)
+        diffs[n] = ModuleMap(src, tgt, mats)
     return terms, diffs, pv
 
 
@@ -344,8 +315,8 @@ def cone(f: ChainMap) -> Complex:
         d, left = diffs[n - 1], y.term(n - 1).dims
         blocks = zip(d.mats, fn.mats, left)
         mats = [m.with_block(range(b.rows), range(l, m.cols), b) for m, b, l in blocks]
-        diffs[n - 1] = ModuleMap(d.source, d.target, mats, check=False)
-    return Complex(y.algebra, terms, diffs, proj_verts=pv, check=False)
+        diffs[n - 1] = ModuleMap(d.source, d.target, mats)
+    return Complex(y.algebra, terms, diffs, proj_verts=pv)
 
 
 def stupid_truncate(x: Complex, lo: Optional[int] = None, hi: Optional[int] = None) -> Complex:
@@ -355,7 +326,7 @@ def stupid_truncate(x: Complex, lo: Optional[int] = None, hi: Optional[int] = No
     terms = {
         n: m for n, m in x.terms.items() if (lo is None or lo <= n) and (hi is None or n <= hi)
     }
-    return Complex(x.algebra, terms, x.diffs, proj_verts=x.proj_verts, check=False)
+    return Complex(x.algebra, terms, x.diffs, proj_verts=x.proj_verts)
 
 
 # -- cohomology --------------------------------------------------------------
@@ -502,10 +473,10 @@ def standardize_perfect(x: Complex) -> Tuple[Complex, ChainMap]:
             solve_matrix(isos[n + 1].mats[v], Matrix.identity(fld, isos[n + 1].mats[v].rows))
             for v in range(alg.num_vertices)
         ]
-        inv = ModuleMap(x.term(n + 1), terms[n + 1], inv_mats, check=False)
+        inv = ModuleMap(x.term(n + 1), terms[n + 1], inv_mats)
         diffs[n] = inv.compose(x.diff(n).compose(isos[n]))
-    std = Complex(alg, terms, diffs, proj_verts=verts, check=False)
-    iso = ChainMap(std, x, isos, check=False)
+    std = Complex(alg, terms, diffs, proj_verts=verts)
+    iso = ChainMap(std, x, isos)
     return std, iso
 
 
@@ -686,7 +657,7 @@ def chain_map_basis(x: Complex, y: Complex) -> List[ChainMap]:
     out = []
     for c in range(kb.cols):
         comps = hc.decode(0, kb.col(c))
-        out.append(ChainMap(xs, y, comps, check=False))
+        out.append(ChainMap(xs, y, comps))
     return out
 
 

@@ -77,7 +77,7 @@ def resolution_complex(m: Module, length: int) -> Complex:
         pv[-k] = verts
         if k > 0:
             diffs[-k] = d
-    return Complex(m.algebra, terms, diffs, proj_verts=pv, check=False)
+    return Complex(m.algebra, terms, diffs, proj_verts=pv)
 
 
 def resolve_to_perfect(m: Module, cutoff: int) -> Complex:
@@ -220,7 +220,7 @@ def random_chain_map(x: Complex, y: Complex, rng: random.Random) -> ChainMap:
     hc = HomComplex(x, y)
     kb = kernel_basis(hc.diff_matrix(0))
     coeffs = [random_scalar(x.algebra.field, rng) for _ in range(kb.cols)]
-    return ChainMap(hc.x, y, hc.decode(0, kb.apply(coeffs)), check=False)
+    return ChainMap(hc.x, y, hc.decode(0, kb.apply(coeffs)))
 
 
 def random_perfect_complex(algebra, rng: random.Random) -> Complex:

@@ -125,9 +125,12 @@ class Module(_Memoized):
 
 
 class ModuleMap(_Memoized):
-    """A homomorphism of modules: one matrix per vertex, commuting with arrows."""
+    """A homomorphism of modules: one matrix per vertex, commuting with arrows.
 
-    def __init__(self, source: Module, target: Module, mats: Sequence[Matrix], check: bool = True):
+    The constructor checks the matrix shapes only; `commutes` checks the
+    arrows."""
+
+    def __init__(self, source: Module, target: Module, mats: Sequence[Matrix]):
         if source.algebra is not target.algebra:
             raise ValueError("source and target over different algebras")
         self.source = source
@@ -137,8 +140,6 @@ class ModuleMap(_Memoized):
             m = self.mats[v]
             if (m.rows, m.cols) != (target.dims[v], source.dims[v]):
                 raise ValueError(f"vertex {v}: matrix shape mismatch")
-        if check and not self.commutes():
-            raise ValueError("map does not commute with the arrow actions")
 
     def commutes(self) -> bool:
         for a in self.source.algebra.quiver.arrows:
@@ -158,13 +159,12 @@ class ModuleMap(_Memoized):
                 Matrix.zeros(f, target.dims[v], source.dims[v])
                 for v in range(source.algebra.num_vertices)
             ],
-            check=False,
         )
 
     @classmethod
     def identity(cls, m: Module) -> "ModuleMap":
         f = m.algebra.field
-        return cls(m, m, [Matrix.identity(f, d) for d in m.dims], check=False)
+        return cls(m, m, [Matrix.identity(f, d) for d in m.dims])
 
     def compose(self, first: "ModuleMap") -> "ModuleMap":
         """self after first.
@@ -175,28 +175,16 @@ class ModuleMap(_Memoized):
         if first.target is not self.source and first.target.dims != self.source.dims:
             raise ValueError("maps not composable")
         mats = map(_product, self.mats, first.mats)
-        return ModuleMap(first.source, self.target, mats, check=False)
+        return ModuleMap(first.source, self.target, mats)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(
-            self.source,
-            self.target,
-            [a + b for a, b in zip(self.mats, other.mats)],
-            check=False,
-        )
+        return ModuleMap(self.source, self.target, [a + b for a, b in zip(self.mats, other.mats)])
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(
-            self.source,
-            self.target,
-            [a - b for a, b in zip(self.mats, other.mats)],
-            check=False,
-        )
+        return ModuleMap(self.source, self.target, [a - b for a, b in zip(self.mats, other.mats)])
 
     def scale(self, c) -> "ModuleMap":
-        return ModuleMap(
-            self.source, self.target, [m.scale(c) for m in self.mats], check=False
-        )
+        return ModuleMap(self.source, self.target, [m.scale(c) for m in self.mats])
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats)
@@ -268,7 +256,7 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
             d_m, o = m.dims[v], var_offset[v]
             block = tuple([vec[o + r * d_m : o + (r + 1) * d_m] for r in range(n.dims[v])])
             mats.append(Matrix._of(f, n.dims[v], d_m, block))
-        basis.append(ModuleMap(m, n, mats, check=False))
+        basis.append(ModuleMap(m, n, mats))
     return basis
 
 
@@ -330,7 +318,7 @@ def map_from_generator_images(
                     vec = moved[path[:n]] = arrows[a].apply(vec)
                 columns[v][pos] = vec
     mats = [Matrix._of_columns(f, target.dims[v], columns[v]) for v in range(nv)]
-    return ModuleMap(src, target, mats, check=False)
+    return ModuleMap(src, target, mats)
 
 
 def projsum_offsets(algebra, verts: Sequence[int]) -> List[List[int]]:
@@ -435,7 +423,7 @@ def kernel_of(f_map: ModuleMap) -> Tuple[Module, ModuleMap]:
             raise RuntimeError("kernel is not arrow-stable; inconsistent map")
         mats[a.id] = x
     ker = Module(alg, dims, mats, check=False)
-    incl = ModuleMap(ker, f_map.source, kbs, check=False)
+    incl = ModuleMap(ker, f_map.source, kbs)
     return ker, incl
 
 
@@ -492,7 +480,7 @@ def quotient_module(m: Module, sub: Sequence[Matrix]) -> Tuple[Module, ModuleMap
         arrow = m.arrow_mats[a.id]
         mats[a.id] = projs[a.target] @ arrow.submatrix(range(arrow.rows), chosen[a.source])
     q = Module(alg, dims, mats, check=False)
-    return q, ModuleMap(m, q, projs, check=False)
+    return q, ModuleMap(m, q, projs)
 
 
 # -- isomorphism testing -----------------------------------------------------

@@ -306,6 +306,11 @@ def complex_from_json(algebra: FDAlgebra, doc: dict) -> Complex:
         if isinstance(e, ParseError):
             raise
         raise ParseError(f"bad complex document: {e}") from e
+    # d o d over every degree before any module map: a d o d fault wins over
+    # a module-map fault at a lower degree
+    for n, d in x.diffs.items():
+        if n + 1 in x.diffs and not x.diffs[n + 1].compose(d).is_zero():
+            raise ParseError(f"bad complex document: d o d != 0 at degree {n}")
     for n, d in x.diffs.items():
         if not d.commutes():
             raise ParseError(f"differential at degree {n} is not a module map")
@@ -348,7 +353,7 @@ def _maps_from_json(algebra: FDAlgebra, doc, ends, what: str) -> Dict[int, Modul
                 matrix_from_json(algebra.field, tgt.dims[v], src.dims[v], mats_doc[v])
                 for v in range(nv)
             ]
-            maps[n] = ModuleMap(src, tgt, mats, check=False)
+            maps[n] = ModuleMap(src, tgt, mats)
     except (TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise
@@ -356,16 +361,11 @@ def _maps_from_json(algebra: FDAlgebra, doc, ends, what: str) -> Dict[int, Modul
     return maps
 
 
-def chain_map_from_json(
-    source: Complex, target: Complex, doc: dict, check: bool = True
-) -> ChainMap:
+def chain_map_from_json(source: Complex, target: Complex, doc: dict) -> ChainMap:
     comps = _maps_from_json(
         source.algebra, doc, lambda n: (source.term(n), target.term(n)), "chain map"
     )
-    f = ChainMap(source, target, comps, check=False)
-    if check and not f.commutes():
-        raise ParseError("chain map does not commute with the differentials")
-    return f
+    return ChainMap(source, target, comps)
 
 
 def homotopy_to_json(h: Homotopy) -> dict:
@@ -420,7 +420,7 @@ def certificate_from_json(
 ) -> ThickCertificate:
     try:
         steps = []
-        zero = Complex(algebra, {}, {}, proj_verts={}, check=False)
+        zero = Complex(algebra, {}, {}, proj_verts={})
         for idx, entry in enumerate(doc["steps"]):
             obj = complex_from_json(algebra, entry["object"])
             level = _int(entry["level"], "step level")
@@ -441,16 +441,14 @@ def certificate_from_json(
                 v = _int(entry["cone"]["v"], "cone reference")
                 if not (0 <= u < idx and 0 <= v < idx):
                     raise ParseError(f"step {idx}: cone reference out of range")
-                cm = chain_map_from_json(
-                    steps[u].obj, steps[v].obj, entry["cone"]["map"], check=False
-                )
+                cm = chain_map_from_json(steps[u].obj, steps[v].obj, entry["cone"]["map"])
                 steps.append(ConeStep(u, v, cm, obj, level))
             elif "retract" in entry:
                 z = _int(entry["retract"]["z"], "retract reference")
                 if not (0 <= z < idx):
                     raise ParseError(f"step {idx}: retract reference out of range")
-                p = chain_map_from_json(steps[z].obj, obj, entry["retract"]["p"], check=False)
-                s = chain_map_from_json(obj, steps[z].obj, entry["retract"]["s"], check=False)
+                p = chain_map_from_json(steps[z].obj, obj, entry["retract"]["p"])
+                s = chain_map_from_json(obj, steps[z].obj, entry["retract"]["s"])
                 h = homotopy_from_json(obj, obj, entry["retract"]["h"])
                 steps.append(RetractStep(z, p, s, h, obj, level))
             else:
@@ -458,7 +456,7 @@ def certificate_from_json(
         final = steps[-1].obj if steps else zero
         if target is None:
             target = complex_from_json(algebra, doc["target"])
-        compare = chain_map_from_json(final, target, doc["compare"], check=False)
+        compare = chain_map_from_json(final, target, doc["compare"])
         return ThickCertificate(
             str(doc["generator"]), steps, _int(doc["level"], "certificate level"), compare
         )

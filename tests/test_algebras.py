@@ -250,3 +250,6 @@ def test_mult_basis_is_associative_and_unital(build, field):
     for k in basis:
         start = alg.basis_path(k)[0]
         assert alg.mult_basis(idem[start], k) == {k: one}
+    for i in range(alg.num_vertices):
+        p = alg.projective(i)
+        findim.Module(alg, p.dims, p.arrow_mats)  # checks that the relations vanish

@@ -241,6 +241,23 @@ def test_retract_certificate_tampering_names_the_step():
     assert not result.ok and result.diagnostics[-1].startswith("step 2: homotopy")
 
 
+def test_cone_of_a_map_that_is_not_a_module_map_fails_verification():
+    """A cone step on P_0 -> P_0 that is the identity at vertex 0 and zero
+    at vertex 1: its squares with the differentials commute, its arrow
+    square does not."""
+    a = a2()
+    leaf = leaf_object(a, 0, 0)
+    p0 = leaf.term(0)
+    mats = [Matrix(a.field, 1, 1, [[1]]), Matrix(a.field, 1, 1, [[0]])]
+    phi = ChainMap(leaf, leaf, {0: ModuleMap(p0, p0, mats)})
+    assert phi.commutes() and not phi.comps[0].commutes()
+    c = cone(phi)
+    steps = [LeafStep(0, 0, leaf), LeafStep(0, 0, leaf), ConeStep(0, 1, phi, c, 2)]
+    cert = ThickCertificate("A", steps, 2, ChainMap.identity(c))
+    result = verify_certificate(cert, c, a)
+    assert not result.ok and result.diagnostics == ["step 2: cone map is not a chain map"]
+
+
 def test_minimize_perfect_properties():
     a = nakayama3()
     rng = random.Random(5)
@@ -323,7 +340,6 @@ def _minimize_perfect_reference(x):
             new_src,
             new_tgt,
             [delta[v] - (gamma[v] @ (ainv[v] @ beta[v])) for v in range(nv)],
-            check=False,
         )
         if n - 1 in cur.diffs:
             dm = cur.diff(n - 1)
@@ -331,15 +347,15 @@ def _minimize_perfect_reference(x):
                 _reference_select(dm.mats[v], srows_b[v], list(range(dm.mats[v].cols)))
                 for v in range(nv)
             ]
-            diffs[n - 1] = ModuleMap(dm.source, new_src, mats, check=False)
+            diffs[n - 1] = ModuleMap(dm.source, new_src, mats)
         if n + 1 in cur.diffs:
             dp = cur.diff(n + 1)
             mats = [
                 _reference_select(dp.mats[v], list(range(dp.mats[v].rows)), trows_d[v])
                 for v in range(nv)
             ]
-            diffs[n + 1] = ModuleMap(new_tgt, dp.target, mats, check=False)
-        nxt = Complex(algebra, terms, diffs, proj_verts=pv, check=False)
+            diffs[n + 1] = ModuleMap(new_tgt, dp.target, mats)
+        nxt = Complex(algebra, terms, diffs, proj_verts=pv)
         comps = {}
         for deg in nxt.terms:
             if deg == n:
@@ -353,7 +369,7 @@ def _minimize_perfect_reference(x):
                         for c in range(new_src.dims[v]):
                             full[r][c] = fld.one() if c == r_i else fld.zero()
                     mats.append(Matrix(fld, len(full), new_src.dims[v], full))
-                comps[deg] = ModuleMap(new_src, cur.term(n), mats, check=False)
+                comps[deg] = ModuleMap(new_src, cur.term(n), mats)
             elif deg == n + 1:
                 mats = []
                 for v in range(nv):
@@ -361,10 +377,10 @@ def _minimize_perfect_reference(x):
                     for r_i, r in enumerate(trows_d[v]):
                         full[r][r_i] = fld.one()
                     mats.append(Matrix(fld, len(full), new_tgt.dims[v], full))
-                comps[deg] = ModuleMap(new_tgt, cur.term(n + 1), mats, check=False)
+                comps[deg] = ModuleMap(new_tgt, cur.term(n + 1), mats)
             else:
                 comps[deg] = ModuleMap.identity(cur.term(deg))
-        total = total.compose(ChainMap(nxt, cur, comps, check=False))
+        total = total.compose(ChainMap(nxt, cur, comps))
         cur = nxt
 
 

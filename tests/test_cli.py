@@ -186,6 +186,60 @@ def test_bad_matrix_message(command, case, tmp_path, capsys):
     assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
+# The differentials from degree 0 up of a complex of P_0 in each degree, and
+# the one line of stderr it gives.  d o d is checked in every degree before
+# any differential is checked to be a module map.
+BAD_COMPLEXES = {
+    "d o d": ([[[[1]], [[1]]]] * 2, "bad complex document: d o d != 0 at degree 0"),
+    "not a module map": ([[[[1]], [[0]]]], "differential at degree 0 is not a module map"),
+    "d o d above a non-module map": (
+        [[[[0]], [[1]]], [[[1]], [[0]]], [[[1]], [[1]]]],
+        "bad complex document: d o d != 0 at degree 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMPLEXES))
+@pytest.mark.parametrize("command", ["invariants", "verify-certificate"])
+def test_bad_complex_message(command, case, tmp_path, capsys):
+    diffs, message = BAD_COMPLEXES[case]
+    doc = json.dumps({
+        "terms": {str(n): {"proj": [1, 0]} for n in range(len(diffs) + 1)},
+        "differentials": {str(n): d for n, d in enumerate(diffs)},
+    })
+    # the complex is the target argument of verify-certificate
+    argv = [command, "a2.json"] + ([_leaf_cert()] if command == "verify-certificate" else []) + [doc]
+    assert main(_paths(argv, tmp_path)) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+# S_0 + S_1 on a2 is not projective, yet each certificate below claims it
+# at level 1 through a map that is a chain map of matrices but not of module
+# maps: the compare map P_0 -> S_0 + S_1, or the retraction of P_0 onto it.
+_S0_S1 = {"terms": {"0": {"dim_vector": [1, 1], "arrows": {"a": [[0]]}}}}
+_ID = {"0": [[[1]], [[1]]]}
+FALSE_LEVELS = {
+    "compare": (_leaf_cert(target=_S0_S1), "comparison map is not a chain map"),
+    "retract": (
+        _leaf_cert(
+            steps=[
+                json.loads(_leaf_cert())["steps"][0],
+                {"retract": {"z": 0, "p": _ID, "s": _ID, "h": {}}, "object": _S0_S1, "level": 1},
+            ],
+            target=_S0_S1,
+        ),
+        "step 1: retract maps are not chain maps",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALSE_LEVELS))
+def test_maps_that_are_not_module_maps_fail_verification(case, tmp_path, capsys):
+    cert, diagnostic = FALSE_LEVELS[case]
+    assert main(_paths(["verify-certificate", "a2.json", cert], tmp_path)) == 1
+    assert capsys.readouterr().out.endswith(f"}}\n{diagnostic}\n")
+
+
 def test_main_builds_its_parser_once(monkeypatch):
     built = []
     real = findim.cli.build_parser

@@ -2,7 +2,8 @@
 private helpers, no draws from the shared generator of ``random``, and no
 write into the rows of a matrix; and, at run time, matrices, modules,
 complexes, chain maps, homotopies and remembered answers that refuse an
-edit.
+edit; and constructors of maps and complexes with no option to check
+their input.
 
 A stdlib ``ast`` scan of every module in src/findim except the package
 ``__init__.py``, whose imports are its re-exports; the unused-import scan
@@ -21,6 +22,7 @@ of a ``.data`` attribute.
 import ast
 import copy
 import dataclasses
+import inspect
 import itertools
 import os
 import pickle
@@ -305,7 +307,7 @@ def test_every_matrix_refuses_an_edit(field):
         c = cone(random_chain_map(x, x, rng))
         contractible = cone(ChainMap.identity(x))
         zmin, qiso = minimize_perfect(direct_sum(alg, [x, contractible]))
-        std, iso = standardize_perfect(Complex(alg, x.terms, x.diffs, check=False))
+        std, iso = standardize_perfect(Complex(alg, x.terms, x.diffs))
         maps = [d for y in (c, contractible, zmin, std) for d in y.diffs.values()]
         maps += list(qiso.comps.values()) + list(iso.comps.values())
         for _, _, d, ker in itertools.islice(resolution_steps(alg.simple(0)), 6):
@@ -328,7 +330,7 @@ def test_every_module_and_complex_refuses_an_edit(field):
         p, s = alg.projective(0), alg.simple(0)
         x = random_perfect_complex(alg, rng)
         c = cone(random_chain_map(x, x, rng))
-        plain = Complex(alg, x.terms, x.diffs, check=False)
+        plain = Complex(alg, x.terms, x.diffs)
         mods = [
             Module(alg, s.dims, {}),
             p,
@@ -372,7 +374,7 @@ def test_every_chain_map_and_homotopy_refuses_an_edit(field):
     for alg in (a2(field), dual_numbers(field)):
         x = random_perfect_complex(alg, rng)
         y = shift(x, 1)
-        plain = Complex(alg, x.terms, x.diffs, check=False)
+        plain = Complex(alg, x.terms, x.diffs)
         contractible = cone(ChainMap.identity(x))
         f = random_chain_map(x, x, rng)
         ghosts, composite = ghost_maps(alg.simple(0), 2)
@@ -412,3 +414,11 @@ def test_a_checked_chain_map_cannot_be_edited():
     with pytest.raises(TypeError):
         f.comps[-1] = ModuleMap.zero(x.term(-1), x.term(-1))
     assert f.commutes() and set(f.comps) == {-1, 0}
+
+
+@pytest.mark.parametrize(
+    "build", [ModuleMap, ChainMap, Complex, chain_map_from_json], ids=lambda b: b.__name__
+)
+def test_maps_and_complexes_are_built_without_a_check_option(build):
+    """Constructors trust their input; the readers of documents check it."""
+    assert "check" not in inspect.signature(build).parameters

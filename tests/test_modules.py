@@ -259,7 +259,7 @@ def _quotient_module_reference(m, sub):
     for a in alg.quiver.arrows:
         mats[a.id] = projs[a.target] @ (m.arrow_mats[a.id] @ reps[a.source])
     q = Module(alg, dims, mats, check=False)
-    return q, ModuleMap(m, q, projs, check=False)
+    return q, ModuleMap(m, q, projs)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
@@ -299,7 +299,7 @@ def _kernel_of_reference(f_map):
             raise RuntimeError("kernel is not arrow-stable; inconsistent map")
         mats[a.id] = x
     ker = Module(alg, [kb.cols for kb in kbs], mats, check=False)
-    return ker, ModuleMap(ker, f_map.source, kbs, check=False)
+    return ker, ModuleMap(ker, f_map.source, kbs)
 
 
 def _map_from_generator_images_reference(alg, verts, target, images):
@@ -313,7 +313,7 @@ def _map_from_generator_images_reference(alg, verts, target, images):
                 for r in range(target.dims[v]):
                     rows[v][r][offsets[k][v] + pos] = vec[r]
     mats = [Matrix(alg.field, target.dims[v], src.dims[v], rows[v]) for v in range(alg.num_vertices)]
-    return ModuleMap(src, target, mats, check=False)
+    return ModuleMap(src, target, mats)
 
 
 def _a4_path_algebra(field):
@@ -358,7 +358,7 @@ def test_kernel_of_refuses_a_map_that_is_not_a_module_map():
     a = a2()
     p0, s1 = a.projective(0), a.simple(1)
     assert p0.dims == (1, 1) and s1.dims == (0, 1)
-    f = ModuleMap(p0, s1, [Matrix.zeros(a.field, 0, 1), Matrix(a.field, 1, 1, [[1]])], check=False)
+    f = ModuleMap(p0, s1, [Matrix.zeros(a.field, 0, 1), Matrix(a.field, 1, 1, [[1]])])
     assert not f.commutes()
     with pytest.raises(RuntimeError, match="arrow-stable"):
         kernel_of(f)
