@@ -33,9 +33,11 @@ class BudgetExceededError(RuntimeError):
     """A computation would exceed its search-space or size budget."""
 
 
-# Size budget of build_algebra: the paths it enumerates, and the cells of
-# its dense relation matrix (checked row by row, before it is allocated).
+# Size budget of build_algebra: the paths it enumerates, the arrows those
+# paths hold together (a path of length L holds L), and the cells of its
+# dense relation matrix (checked row by row, before it is allocated).
 MAX_PATHS = 2**16
+MAX_PATH_SLOTS = MAX_PATHS * 2**8
 MAX_RELATION_CELLS = 2**22
 
 
@@ -139,6 +141,8 @@ class FDAlgebra:
         self._proj_cache: Dict[int, Module] = {}
         # vertex tuple -> projective sum, see projsum_module
         self._projsum_cache: Dict[Tuple[int, ...], Module] = {}
+        # dimension vector -> relation plan, see modules._relation_plan
+        self._relation_plans: Dict[Tuple[int, ...], tuple] = {}
         self._zero_module: Optional[Module] = None
         self._opposite: Optional[FDAlgebra] = None
 
@@ -281,7 +285,8 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> List[List[Path]]:
         raise BudgetExceededError(f"more than the budget of {MAX_PATHS} paths of length 0")
     by_len: List[List[Path]] = [[(v, ()) for v in range(quiver.num_vertices)]]
     total = quiver.num_vertices
-    for _ in range(max_len):
+    slots = 0
+    for length in range(1, max_len + 1):
         prev = by_len[-1]
         nxt: List[Path] = []
         for s, arrows in prev:
@@ -293,9 +298,14 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> List[List[Path]]:
                 raise BudgetExceededError(
                     f"more than the budget of {MAX_PATHS} paths of length <= {max_len}"
                 )
+            if slots + len(nxt) * length > MAX_PATH_SLOTS:
+                raise BudgetExceededError(
+                    f"more than the budget of {MAX_PATH_SLOTS} arrows held by the paths of length <= {max_len}"
+                )
         if not nxt:
             break
         total += len(nxt)
+        slots += len(nxt) * length
         by_len.append(nxt)
     return by_len
 
@@ -311,7 +321,8 @@ def build_algebra(
     Raises NotFiniteDimensionalError when no length L <= max_len has all
     paths of length L reducing to zero modulo the relation ideal, and
     BudgetExceededError when a window would enumerate more than MAX_PATHS
-    paths or need a relation matrix of more than MAX_RELATION_CELLS cells.
+    paths, or paths holding more than MAX_PATH_SLOTS arrows together, or
+    need a relation matrix of more than MAX_RELATION_CELLS cells.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")

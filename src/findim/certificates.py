@@ -20,6 +20,8 @@ from .linalg import Matrix, solve_matrix
 from .modules import (
     Module,
     ModuleMap,
+    _relation_plan,
+    _relations_vanish,
     generator_positions,
     minimal_resolution,
     proj_dim,
@@ -93,21 +95,22 @@ def _check_budget(algebra, dims, budget) -> None:
 
 
 def _modules_with_dims(algebra, dims) -> Iterator[Module]:
+    """The modules of dimension vector `dims`: every entry tuple is tested
+    in place, and a module is built only for a tuple the relations accept."""
     arrows = algebra.quiver.arrows
     shapes = [(dims[a.target], dims[a.source]) for a in arrows]
     entries = sum(r * c for r, c in shapes)
-    for flat in itertools.product(range(algebra.field.p), repeat=entries):
+    field, p = algebra.field, algebra.field.p
+    plan = _relation_plan(algebra, dims)
+    for flat in itertools.product(range(p), repeat=entries):
+        if not _relations_vanish(plan, flat, p):
+            continue
         mats = {}
         pos = 0
         for a, (r, c) in zip(arrows, shapes):
-            mats[a.id] = Matrix(
-                algebra.field, r, c, [list(flat[pos + i * c : pos + (i + 1) * c]) for i in range(r)]
-            )
+            mats[a.id] = Matrix._of(field, r, c, tuple([flat[pos + i * c : pos + (i + 1) * c] for i in range(r)]))
             pos += r * c
-        try:
-            yield Module(algebra, dims, mats, check=True)
-        except ValueError:
-            continue
+        yield Module(algebra, dims, mats, check=False)
 
 
 def _budgeted_modules(

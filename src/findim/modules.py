@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 from types import MappingProxyType
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -79,20 +80,11 @@ class Module(_Memoized):
             self._check_relations()
 
     def _check_relations(self):
-        for rel in self.algebra.relations:
-            acc = None
-            for coeff, arrows in rel.terms:
-                term = self._act_arrows(arrows).scale(coeff)
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                raise ValueError("relations do not vanish on the module")
-
-    def _act_arrows(self, arrows: Sequence[int]) -> Matrix:
-        q = self.algebra.quiver
-        m = self.arrow_mats[q.arrows[arrows[0]].id]
-        for k in arrows[1:]:
-            m = self.arrow_mats[q.arrows[k].id] @ m
-        return m
+        alg = self.algebra
+        plan = _relation_plan(alg, self.dims)
+        flat = [x for a in alg.quiver.arrows for row in self.arrow_mats[a.id].data for x in row] if plan else ()
+        if not _relations_vanish(plan, flat, alg.field.p):
+            raise ValueError("relations do not vanish on the module")
 
     def act_path(self, path) -> Matrix:
         """Matrix of the action of a path, from its source fiber to target;
@@ -100,7 +92,11 @@ class Module(_Memoized):
         src, arrows = path
         if not arrows:
             return Matrix.identity(self.algebra.field, self.dims[src])
-        return self._act_arrows(arrows)
+        q = self.algebra.quiver
+        m = self.arrow_mats[q.arrows[arrows[0]].id]
+        for k in arrows[1:]:
+            m = self.arrow_mats[q.arrows[k].id] @ m
+        return m
 
     @property
     def total_dim(self) -> int:
@@ -122,6 +118,55 @@ class Module(_Memoized):
 
     def __repr__(self):
         return f"Module(dims={self.dims})"
+
+
+def _relation_plan(algebra, dims: Tuple[int, ...]):
+    """The relations of `algebra` laid out for modules of dimension vector
+    `dims`, remembered on the algebra.  The arrow matrices are one flat
+    sequence: arrows in quiver order, each matrix row by row.  A relation
+    is its target fibre dimension and its terms; a term is its coefficient,
+    then the offset and columns of its arrows, last first."""
+    plan = algebra._relation_plans.get(dims)
+    if plan is None:
+        arrows, coerce = algebra.quiver.arrows, algebra.field.coerce
+        offsets = list(accumulate([dims[a.target] * dims[a.source] for a in arrows], initial=0))
+        plan = []
+        for rel in algebra.relations:
+            terms = []
+            for coeff, path in rel.terms:
+                (off, c), *rest = [(offsets[k], dims[arrows[k].source]) for k in reversed(path)]
+                terms.append((coerce(coeff), off, c, tuple(rest)))
+            plan.append((dims[rel.target], tuple(terms)))
+        plan = algebra._relation_plans[dims] = tuple(plan)
+    return plan
+
+
+def _relations_vanish(plan, flat: Sequence, p: Optional[int]) -> bool:
+    """Whether every relation of `plan` vanishes on the arrow matrices laid
+    out in `flat`, over GF(p), or over Q when p is None.  Row i of a
+    relation is row i of its last arrow carried along the rest of each
+    term's path as a row vector, one row operation per nonzero entry, so
+    the cost is linear in the path length.  A nonzero row answers False."""
+    for rows, terms in plan:
+        for i in range(rows):
+            acc = None
+            for coeff, off, c, rest in terms:
+                row = v = flat[off + i * c : off + (i + 1) * c]
+                for off, c in rest:
+                    if p is not None and v is not row:
+                        v = [x % p for x in v]
+                    w = (0,) * c
+                    for a in v:
+                        if a:
+                            w = [x + a * y for x, y in zip(w, flat[off : off + c])]
+                        off += c
+                    v = w
+                if coeff != 1:
+                    v = [coeff * x for x in v]
+                acc = v if acc is None else list(map(add, acc, v))
+            if any([x % p for x in acc] if p else acc):
+                return False
+    return True
 
 
 class ModuleMap(_Memoized):

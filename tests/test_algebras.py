@@ -57,6 +57,16 @@ def test_path_enumeration_budget():
     assert findim.BudgetExceededError is algebras.BudgetExceededError
 
 
+def test_path_enumeration_counts_the_arrows_its_paths_hold(monkeypatch):
+    """On one loop the paths of length <= L hold L(L + 1)/2 arrows: 91 at
+    L = 13 and 105 at L = 14, against a budget of 100."""
+    q = Quiver(1, [("x", 0, 0)])
+    monkeypatch.setattr(algebras, "MAX_PATH_SLOTS", 100)
+    assert len(algebras._enumerate_paths(q, 13)) == 14
+    with pytest.raises(BudgetExceededError, match="budget of 100 arrows held by the paths of length <= 14"):
+        algebras._enumerate_paths(q, 14)
+
+
 def test_path_enumeration_stops_at_the_first_empty_length():
     """On an acyclic quiver the path levels end with the longest path,
     however large max_len is, and the algebra does not depend on it."""

@@ -344,6 +344,23 @@ def test_huge_max_len_on_an_acyclic_quiver(tmp_path):
     assert "Finite(1)" in proc.stdout
 
 
+def test_huge_max_len_on_a_loop_exit_3(tmp_path):
+    """max_len 10^9 on the dual numbers: the paths x^L hold about L^2 / 2
+    arrows, so the path enumeration stops at its arrow budget, with one
+    line on stderr, before it takes the memory of the child."""
+    with open(data("dual_numbers.json")) as fh:
+        doc = json.load(fh)
+    doc["max_len"] = 10**9
+    alg = tmp_path / "dn_huge.json"
+    alg.write_text(json.dumps(doc))
+    proc = _findim_limited("pd", str(alg), data("dn_simple.json"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "budget exceeded: more than the budget of 16777216 arrows held by the paths "
+        "of length <= 1000000000\n"
+    )
+
+
 def test_long_resolution_over_q_runs_no_search():
     """3,000 syzygies of the simple over the dual numbers over Q: each is
     isomorphic to the one before, but over Q no search can prove it, so the
