@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebras import BudgetExceededError
@@ -67,6 +67,27 @@ def _dim_vectors(num_vertices: int, max_total: int) -> Iterator[Tuple[int, ...]]
             yield dims
 
 
+def _entries(algebra, dims) -> int:
+    """The number of arrow-matrix entries of a module of dimension vector dims."""
+    return sum(dims[a.target] * dims[a.source] for a in algebra.quiver.arrows)
+
+
+def _budgeted_modules(
+    algebra, max_total_dim: int, budget: int, skipped: List[List[int]]
+) -> Iterator[Module]:
+    """The modules of each dimension vector of total <= max_total_dim in
+    turn, except that a vector whose search space alone exceeds `budget`
+    matrix-tuple candidates is appended to `skipped` and passed over."""
+    p = algebra.field.p
+    if p is None:
+        raise ValueError("module enumeration needs a finite field")
+    for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
+        if p ** _entries(algebra, dims) > budget:
+            skipped.append(list(dims))
+        else:
+            yield from _modules_with_dims(algebra, dims)
+
+
 def enumerate_modules(
     algebra, max_total_dim: int, budget: int = 10**6
 ) -> Iterator[Module]:
@@ -75,21 +96,19 @@ def enumerate_modules(
     Yields, in a fixed deterministic order, each tuple of arrow matrices
     over GF(p) satisfying the relations; no isomorphism deduplication.
     Raises BudgetExceededError when some dimension vector alone would
-    require more than `budget` matrix-tuple candidates.
+    require more than `budget` matrix-tuple candidates, having yielded the
+    modules of every dimension vector before it.
     """
-    for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
-        _check_budget(algebra, dims, budget)
-        yield from _modules_with_dims(algebra, dims)
-
-
-def _check_budget(algebra, dims, budget) -> None:
-    p = algebra.field.p
-    if p is None:
-        raise ValueError("module enumeration needs a finite field")
-    entries = sum(dims[a.target] * dims[a.source] for a in algebra.quiver.arrows)
-    if p**entries > budget:
+    skipped: List[List[int]] = []
+    for m in _budgeted_modules(algebra, max_total_dim, budget, skipped):
+        if skipped:
+            break
+        yield m
+    if skipped:
+        dims, p = skipped[0], algebra.field.p
+        entries = _entries(algebra, dims)
         raise BudgetExceededError(
-            f"dimension vector {list(dims)}: search space {p}^{entries} "
+            f"dimension vector {dims}: search space {p}^{entries} "
             f"= {p**entries} exceeds budget {budget}"
         )
 
@@ -113,25 +132,11 @@ def _modules_with_dims(algebra, dims) -> Iterator[Module]:
         yield Module(algebra, dims, mats, check=False)
 
 
-def _budgeted_modules(
-    algebra, max_total_dim: int, budget: int, skipped: List[List[int]]
-) -> Iterator[Module]:
-    """The modules of enumerate_modules, one by one, except that a dimension
-    vector over the budget is appended to `skipped` and passed over."""
-    for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
-        try:
-            _check_budget(algebra, dims, budget)
-        except BudgetExceededError:
-            skipped.append(list(dims))
-            continue
-        yield from _modules_with_dims(algebra, dims)
-
-
 @dataclass
 class FinDimReport:
     """Result of maximizing finite projective dimensions over a module search."""
 
-    field_desc: str
+    field: str
     max_total_dim: int
     cutoff: int
     best: int
@@ -141,22 +146,10 @@ class FinDimReport:
     excluded: int  # AtLeastCutoff: membership in the finite-pd class undetermined
     excluded_periodic: int  # of those, proven infinite by a periodicity witness
     exhaustive: bool
-    skipped_dim_vectors: List[List[int]] = field(default_factory=list)
+    skipped_dim_vectors: List[List[int]]
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field_desc,
-            "max_total_dim": self.max_total_dim,
-            "cutoff": self.cutoff,
-            "best": self.best,
-            "witness_dims": self.witness_dims,
-            "witness_resolution": self.witness_resolution,
-            "modules_seen": self.modules_seen,
-            "excluded": self.excluded,
-            "excluded_periodic": self.excluded_periodic,
-            "exhaustive": self.exhaustive,
-            "skipped_dim_vectors": self.skipped_dim_vectors,
-        }
+        return asdict(self)
 
 
 def findim_estimate(
@@ -185,7 +178,7 @@ def findim_estimate(
             if res.status.kind == "infinite_periodic":
                 excluded_periodic += 1
     return FinDimReport(
-        field_desc=repr(algebra.field),
+        field=repr(algebra.field),
         max_total_dim=max_total_dim,
         cutoff=cutoff,
         best=best,
@@ -241,15 +234,10 @@ def theorem_samples(
 
 def regularity_check(algebra, max_total_dim: int, cutoff: int, budget: int = 10**6) -> dict:
     """Evidence for regularity up to the bound: does every enumerated
-    module have finite projective dimension?  Includes the global-dimension
-    estimate max{pd S_i} over the simples."""
-    flagged = 0
-    seen = 0
-    skipped: List[List[int]] = []
-    for m in _budgeted_modules(algebra, max_total_dim, budget, skipped):
-        seen += 1
-        if not proj_dim(m, cutoff).is_finite:
-            flagged += 1
+    module have finite projective dimension?  The modules and their
+    resolutions are those of findim_estimate with the same arguments.
+    Includes the global-dimension estimate max{pd S_i} over the simples."""
+    fr = findim_estimate(algebra, max_total_dim, cutoff, budget)
     gl = [proj_dim(algebra.simple(i), cutoff) for i in range(algebra.num_vertices)]
     if all(r.is_finite for r in gl):
         gl_estimate = {"kind": "finite", "value": max(r.value for r in gl)}
@@ -258,12 +246,12 @@ def regularity_check(algebra, max_total_dim: int, cutoff: int, budget: int = 10*
     return {
         "max_total_dim": max_total_dim,
         "cutoff": cutoff,
-        "modules_seen": seen,
-        "flagged_infinite_or_undecided": flagged,
-        "regular_up_to_bound": flagged == 0,
+        "modules_seen": fr.modules_seen,
+        "flagged_infinite_or_undecided": fr.excluded,
+        "regular_up_to_bound": fr.excluded == 0,
         "gl_dim_estimate": gl_estimate,
-        "exhaustive": not skipped,
-        "skipped_dim_vectors": skipped,
+        "exhaustive": fr.exhaustive,
+        "skipped_dim_vectors": fr.skipped_dim_vectors,
     }
 
 
@@ -484,23 +472,14 @@ def _certificate(
     return ThickCertificate("A", steps, final.level, ChainMap(final.obj, target, comps))
 
 
-def certificate_from_resolution(
-    m: Module, cutoff: int, truncate_at: Optional[int] = None
-) -> ThickCertificate:
+def certificate_from_resolution(m: Module, cutoff: int) -> ThickCertificate:
     """Level pd+1 certificate for a module stalk, by iterated cones on the
-    minimal resolution differentials.
-
-    `truncate_at` deliberately stops the build early, producing an invalid
-    certificate (a negative control for the verifier); leave it None for
-    real use.
-    """
+    minimal resolution differentials."""
     x = resolve_to_perfect(m, cutoff)
     comps = {}
     if not m.is_zero():
         # the augmentation P_0 -> m: step 0 of the resolution just read
         comps[0] = next(resolution_steps(m))[2]
-    if truncate_at is not None:
-        x = stupid_truncate(x, lo=-max(truncate_at, 0))
     return _certificate(x, stalk_complex(m, 0), comps)
 
 

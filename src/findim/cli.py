@@ -272,6 +272,8 @@ def main(argv=None) -> int:
             raise ParseError(f"--cutoff must be >= 1, got {args.cutoff}")
         if getattr(args, "max_dim", 0) < 0:
             raise ParseError(f"--max-dim must be >= 0, got {args.max_dim}")
+        if getattr(args, "budget", 1) < 1:
+            raise ParseError(f"--budget must be >= 1, got {args.budget}")
         return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -60,6 +60,23 @@ def _int(v, what: str) -> int:
     return v
 
 
+def _str(v, what: str) -> str:
+    """A JSON string; numbers and booleans are refused."""
+    if type(v) is not str:
+        raise ParseError(f"bad {what} {v!r}: expected a string")
+    return v
+
+
+def _path(quiver: Quiver, v) -> List[str]:
+    """A relation path: a list of the ids of arrows of the quiver."""
+    if type(v) is not list:
+        raise ParseError(f"bad relation path {v!r}: expected a list of arrow ids")
+    for aid in v:
+        if _str(aid, "relation path entry") not in quiver.arrow_index:
+            raise ParseError(f"relation path names unknown arrow {aid!r}")
+    return v
+
+
 def _degree(key) -> int:
     """A degree key, as str(n) writes the degree n: "+0", "-0", " 0", "00"
     and "1_0", which int() would read, are refused."""
@@ -168,7 +185,7 @@ def algebra_from_json(doc: dict) -> FDAlgebra:
         quiver = Quiver(
             _int(doc["vertices"], '"vertices"'),
             [
-                (ar["id"], _int(ar["from"], 'arrow "from"'), _int(ar["to"], 'arrow "to"'))
+                (_str(ar["id"], "arrow id"), _int(ar["from"], 'arrow "from"'), _int(ar["to"], 'arrow "to"'))
                 for ar in doc.get("arrows", [])
             ],
         )
@@ -176,7 +193,7 @@ def algebra_from_json(doc: dict) -> FDAlgebra:
             Relation(
                 quiver,
                 [
-                    (scalar_from_json(field, t["coeff"]), list(t["path"]))
+                    (scalar_from_json(field, t["coeff"]), _path(quiver, t["path"]))
                     for t in rel
                 ],
             )

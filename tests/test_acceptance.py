@@ -35,7 +35,7 @@ from findim.complexes import induced_cohomology_zero
 from findim.invariants import algebra_complex
 from findim.modules import direct_sum_modules
 from findim.cli import main
-from util import a2, dual_numbers, k_algebra, nakayama3
+from util import a2, dual_numbers, k_algebra, nakayama3, truncated_certificate
 
 
 def test_criterion_1_main_theorem_suite():
@@ -78,7 +78,7 @@ def test_criterion_2_resolution_certificates():
             )
             checked += 1
             if res.value >= 1:
-                bad = certificate_from_resolution(m, 8, truncate_at=res.value - 1)
+                bad = truncated_certificate(m, 8, res.value - 1)
                 assert not verify_certificate(bad, target, algebra).ok, (
                     f"criterion 2: truncated certificate accepted for dims {m.dims}"
                 )

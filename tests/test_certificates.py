@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -34,6 +35,8 @@ from findim.certificates import (
     RetractStep,
     SumStep,
     ThickCertificate,
+    _dim_vectors,
+    _modules_with_dims,
     leaf_object,
     minimize_perfect,
 )
@@ -41,7 +44,7 @@ from findim.complexes import Homotopy, cohomology_dims, induced_cohomology_zero,
 from findim.linalg import solve_matrix
 from findim.modules import generator_positions, projsum_module, projsum_offsets
 from findim.serialize import ParseError, certificate_from_json, certificate_to_json, dumps
-from util import a2, assert_same_complex, dual_numbers, k_algebra, linear4, nakayama3, same_mats
+from util import a2, assert_same_complex, dual_numbers, k_algebra, linear4, nakayama3, same_mats, truncated_certificate
 
 
 def test_enumeration_counts():
@@ -64,6 +67,73 @@ def test_enumeration_budget():
     assert "exceeds budget" in str(exc.value)
 
 
+# nakayama3 over GF(2) at total dimension <= 4: with budget 4 the vectors
+# whose 3 or more arrow-matrix entries give over 4 candidates are refused,
+# (0, 1, 3) first, after the vectors (0, 0, *) and (0, 1, 0..2).
+NAKAYAMA3_REFUSED_AT_4 = [
+    [0, 1, 3], [0, 2, 2], [0, 3, 1], [1, 0, 3], [1, 1, 1], [1, 1, 2], [1, 2, 1],
+    [1, 3, 0], [2, 0, 2], [2, 1, 1], [2, 2, 0], [3, 0, 1], [3, 1, 0],
+]
+
+
+def test_enumeration_stops_at_the_first_refused_vector():
+    """The modules of every vector before the first refused one, in order,
+    and then the error naming that vector."""
+    a = nakayama3()
+    got = []
+    with pytest.raises(BudgetExceededError) as exc:
+        for m in enumerate_modules(a, 4, budget=4):
+            got.append(m)
+    assert str(exc.value) == "dimension vector [0, 1, 3]: search space 2^3 = 8 exceeds budget 4"
+    before = list(itertools.takewhile(lambda d: d != (0, 1, 3), _dim_vectors(3, 4)))
+    assert before[-1] == (0, 1, 2)
+    assert got == [m for m in enumerate_modules(a, 4) if m.dims in before]
+    assert {m.dims for m in got} == set(before)
+
+
+def _reference_regularity(algebra, max_total_dim, cutoff, budget):
+    """regularity_check as its own loop: enumerate, resolve and count."""
+    flagged = 0
+    seen = 0
+    skipped = []
+    for dims in _dim_vectors(algebra.num_vertices, max_total_dim):
+        entries = sum(dims[a.target] * dims[a.source] for a in algebra.quiver.arrows)
+        if algebra.field.p**entries > budget:
+            skipped.append(list(dims))
+            continue
+        for m in _modules_with_dims(algebra, dims):
+            seen += 1
+            if not proj_dim(m, cutoff).is_finite:
+                flagged += 1
+    gl = [proj_dim(algebra.simple(i), cutoff) for i in range(algebra.num_vertices)]
+    if all(r.is_finite for r in gl):
+        gl_estimate = {"kind": "finite", "value": max(r.value for r in gl)}
+    else:
+        gl_estimate = {"kind": "at_least_cutoff"}
+    return {
+        "max_total_dim": max_total_dim,
+        "cutoff": cutoff,
+        "modules_seen": seen,
+        "flagged_infinite_or_undecided": flagged,
+        "regular_up_to_bound": flagged == 0,
+        "gl_dim_estimate": gl_estimate,
+        "exhaustive": not skipped,
+        "skipped_dim_vectors": skipped,
+    }
+
+
+@pytest.mark.parametrize("budget", [10**6, 2])
+@pytest.mark.parametrize(
+    "build, cutoff", [(a2, 5), (dual_numbers, 6), (nakayama3, 5)], ids=["a2", "dual numbers", "nakayama3"]
+)
+def test_regularity_check_matches_its_own_loop(build, cutoff, budget):
+    """Budget 2 refuses some vector of total dimension <= 3 of each algebra."""
+    a = build()
+    got = regularity_check(a, 3, cutoff, budget)
+    assert got == _reference_regularity(a, 3, cutoff, budget)
+    assert got["exhaustive"] == (budget > 2)
+
+
 def test_findim_estimates():
     assert findim_estimate(k_algebra(), 2, 5).best == 0
     rep = findim_estimate(a2(), 2, 5)
@@ -80,9 +150,10 @@ def test_findim_monotone_in_bound():
 
 
 def test_findim_budget_marks_non_exhaustive():
-    rep = findim_estimate(nakayama3(), 3, 5, budget=4)
+    """Every refused vector is listed, in the order of the enumeration."""
+    rep = findim_estimate(nakayama3(), 4, 5, budget=4)
     assert not rep.exhaustive
-    assert rep.skipped_dim_vectors
+    assert rep.skipped_dim_vectors == NAKAYAMA3_REFUSED_AT_4
 
 
 def test_finitistic_generator_amplitude():
@@ -129,7 +200,7 @@ def test_certificate_zero_module():
 def test_truncated_certificate_fails_verification():
     a = a2()
     s0 = a.simple(0)
-    cert = certificate_from_resolution(s0, 5, truncate_at=0)
+    cert = truncated_certificate(s0, 5, 0)
     result = verify_certificate(cert, stalk_complex(s0, 0), a)
     assert not result.ok
     assert "not a quasi-isomorphism" in result.diagnostics[-1]

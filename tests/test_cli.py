@@ -15,7 +15,7 @@ import findim.serialize
 from findim import certificate_from_resolution, resolve_to_perfect, stalk_complex
 from findim.cli import main
 from findim.serialize import certificate_to_json, complex_to_json, dumps
-from util import a2
+from util import a2, truncated_certificate
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -65,6 +65,14 @@ def _a2(arrow=None, **fields):
     a = dict({"id": "a", "from": 0, "to": 1}, **(arrow or {}))
     doc = {"field": {"gfp": 2}, "vertices": 2, "arrows": [a], "relations": [], "max_len": 4}
     return json.dumps(dict(doc, **fields))
+
+
+def _loop(path):
+    """data/dual_numbers.json as a document, with this path in its relation."""
+    arrow = {"id": "x", "from": 0, "to": 0}
+    rel = [{"coeff": 1, "path": path}]
+    doc = {"field": {"gfp": 2}, "vertices": 1, "arrows": [arrow], "relations": [rel], "max_len": 3}
+    return json.dumps(doc)
 
 
 def _leaf_cert(leaf=None, **fields):
@@ -149,6 +157,13 @@ def _leaf_cert(leaf=None, **fields):
             '{"terms": {"0": {"proj": [1, 0]}, "1": {"proj": [0, 1]}}, "differentials": {"-0": [[], [[0]]]}}',
         ],
         ["verify-certificate", "a2.json", _leaf_cert(compare={"0 ": [[[1]], [[1]]]})],
+        ["findim", "a2.json", "--budget", "-1"],
+        ["findim", "a2.json", "--budget", "0"],
+        # a relation path is a list of arrow ids, and an arrow id a string
+        ["pd", _loop("xx"), '{"dim_vector": [1]}'],
+        ["pd", _loop(["x", "c"]), '{"dim_vector": [1]}'],
+        ["pd", _loop(["x", 0]), '{"dim_vector": [1]}'],
+        ["pd", _a2(arrow={"id": 1}), '{"dim_vector": [1, 0]}'],
     ],
     ids=" ".join,
 )
@@ -402,6 +417,22 @@ def test_unknown_arrow_id_in_a_module_document_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "parse error: bad module document: unknown arrow id(s) ['b']\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["findim", "a2.json", "--budget", "-1"], "--budget must be >= 1, got -1"),
+        (["pd", _loop("xx"), '{"dim_vector": [1]}'], "bad relation path 'xx': expected a list of arrow ids"),
+        (["pd", _loop(["x", "c"]), '{"dim_vector": [1]}'], "relation path names unknown arrow 'c'"),
+        (["pd", _loop(["x", 0]), '{"dim_vector": [1]}'], "bad relation path entry 0: expected a string"),
+        (["pd", _a2(arrow={"id": 1}), '{"dim_vector": [1, 0]}'], "bad arrow id 1: expected a string"),
+    ],
+    ids=["budget -1", "path a string", "unknown arrow", "path entry a number", "arrow id a number"],
+)
+def test_budget_and_relation_path_messages(argv, message, tmp_path, capsys):
+    assert main(_paths(argv, tmp_path)) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_huge_vertex_count_exit_3(tmp_path):
     """10^9 vertices are more trivial paths than the path budget allows,
     which is checked before any path is listed."""
@@ -595,7 +626,7 @@ def test_verify_theorem_computes_cohomology_dims_once_per_complex(monkeypatch, c
 def test_verify_certificate_rejects_truncated(tmp_path):
     alg = a2()
     s0 = alg.simple(0)
-    cert = certificate_from_resolution(s0, 5, truncate_at=0)
+    cert = truncated_certificate(s0, 5, 0)
     cf = tmp_path / "cert.json"
     cf.write_text(dumps(certificate_to_json(cert, stalk_complex(s0, 0))))
     assert main(["verify-certificate", data("a2.json"), str(cf)]) == 1

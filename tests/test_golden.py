@@ -22,7 +22,7 @@ from findim import QQ, certificate_for_hom_p, certificate_from_resolution, stalk
 from findim.cli import main
 from findim.invariants import random_perfect_complex
 from findim.serialize import certificate_to_json, complex_to_json, dumps
-from util import a2, dual_numbers, nakayama3
+from util import a2, dual_numbers, nakayama3, truncated_certificate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, os.pardir, "data")
@@ -75,7 +75,11 @@ CLI_CASES = {
 
 def _resolution_cert(field, truncate_at=None):
     s0 = a2(field).simple(0)
-    return certificate_from_resolution(s0, 5, truncate_at), stalk_complex(s0, 0)
+    if truncate_at is None:
+        cert = certificate_from_resolution(s0, 5)
+    else:
+        cert = truncated_certificate(s0, 5, truncate_at)
+    return cert, stalk_complex(s0, 0)
 
 
 def _hom_p_cert(builder, field, seed):

@@ -2,8 +2,9 @@
 private helpers, no draws from the shared generator of ``random``, and no
 write into the rows of a matrix; and, at run time, matrices, modules,
 complexes, chain maps, homotopies and remembered answers that refuse an
-edit; and constructors of maps and complexes with no option to check
-their input.
+edit; constructors of maps and complexes with no option to check
+their input; and public generator functions that stay generator
+functions.
 
 A stdlib ``ast`` scan of every module in src/findim except the package
 ``__init__.py``, whose imports are its re-exports; the unused-import scan
@@ -52,7 +53,12 @@ from findim import (
     stalk_complex,
     stupid_truncate,
 )
-from findim.certificates import minimize_perfect
+from findim.certificates import (
+    certificate_from_resolution,
+    enumerate_modules,
+    minimize_perfect,
+    theorem_samples,
+)
 from findim.complexes import chain_map_basis, cohomology, cohomology_dims, standardize_perfect
 from findim.invariants import resolution_complex, resolve_to_perfect
 from findim.linalg import column_space_basis, kernel_basis, rref, solve_matrix
@@ -422,3 +428,19 @@ def test_a_checked_chain_map_cannot_be_edited():
 def test_maps_and_complexes_are_built_without_a_check_option(build):
     """Constructors trust their input; the readers of documents check it."""
     assert "check" not in inspect.signature(build).parameters
+
+
+def test_certificate_from_resolution_has_no_truncation_option():
+    """A truncated certificate is built by the tests' own helper."""
+    assert list(inspect.signature(certificate_from_resolution).parameters) == ["m", "cutoff"]
+
+
+@pytest.mark.parametrize(
+    "fn", [enumerate_modules, resolution_steps, theorem_samples], ids=lambda f: f.__name__
+)
+def test_public_generators_stay_generator_functions(fn):
+    """The benchmark's tracer counts the items of a generator function in
+    a wrapper of its own; a function that returns a generator instead is
+    wrapped as a plain call and its observer sees the generator, not a
+    count."""
+    assert inspect.isgeneratorfunction(fn)

@@ -1,4 +1,5 @@
-"""Shared builders for the algebras used across the test suite, an
+"""Shared builders for the algebras used across the test suite, a
+certificate cut short as a negative control for the verifier, an
 entry-for-entry comparison of complexes, and a check that a matrix, a
 module, a complex, a chain map, a homotopy or a read-only mapping cannot
 be edited."""
@@ -6,7 +7,10 @@ be edited."""
 import pytest
 
 from findim import GF, ChainMap, Complex, Matrix, Module, Quiver, Relation, build_algebra
-from findim.complexes import Homotopy
+from findim.certificates import _certificate
+from findim.complexes import Homotopy, stalk_complex, stupid_truncate
+from findim.invariants import resolve_to_perfect
+from findim.modules import resolution_steps
 
 
 def k_algebra(field=None):
@@ -44,6 +48,15 @@ def linear4(field=None):
     q = Quiver(4, [("a0", 0, 1), ("a1", 1, 2), ("a2", 2, 3)])
     rels = [Relation(q, [(1, ["a0", "a1"])]), Relation(q, [(1, ["a1", "a2"])])]
     return build_algebra(q, rels, field or GF(2), 3)
+
+
+def truncated_certificate(m, cutoff, truncate_at):
+    """The certificate of certificate_from_resolution(m, cutoff) built from
+    the resolution cut below degree -truncate_at: not a quasi-isomorphism
+    once the projective dimension of m exceeds truncate_at."""
+    x = stupid_truncate(resolve_to_perfect(m, cutoff), lo=-truncate_at)
+    comps = {} if m.is_zero() else {0: next(resolution_steps(m))[2]}
+    return _certificate(x, stalk_complex(m, 0), comps)
 
 
 def same_mats(got, ref):
