@@ -56,7 +56,8 @@ class Quiver:
         self.arrows: List[Arrow] = []
         seen = set()
         for aid, s, t in arrows:
-            aid = str(aid)
+            if type(aid) is not str:
+                raise ValueError(f"arrow id {aid!r} is not a string")
             if aid in seen:
                 raise ValueError(f"duplicate arrow id {aid!r}")
             if not (0 <= s < num_vertices and 0 <= t < num_vertices):
@@ -78,7 +79,9 @@ class Relation:
     """A linear combination of parallel paths of length >= 2.
 
     Each term is (coefficient, list of arrow ids); the paths must share
-    source and target.  Admissibility is enforced at construction.
+    source and target.  Admissibility is enforced at construction.  A path
+    given as one string, an entry that is not a string and an arrow the
+    quiver lacks are refused with a ValueError.
     """
 
     def __init__(self, quiver: Quiver, terms: Sequence[Tuple[object, Sequence[str]]]):
@@ -87,7 +90,14 @@ class Relation:
         self.terms: List[Tuple[object, Tuple[int, ...]]] = []
         st = None
         for coeff, path in terms:
-            idxs = tuple(quiver.arrow_index[str(a)] for a in path)
+            if isinstance(path, str):
+                raise ValueError(f"relation path {path!r} is a string, not a list of arrow ids")
+            for a in path:
+                if type(a) is not str:
+                    raise ValueError(f"relation path entry {a!r} is not an arrow id string")
+                if a not in quiver.arrow_index:
+                    raise ValueError(f"relation path names unknown arrow {a!r}")
+            idxs = tuple(quiver.arrow_index[a] for a in path)
             if len(idxs) < 2:
                 raise ValueError("relation terms must have length >= 2 (admissibility)")
             arrows = [quiver.arrows[k] for k in idxs]
@@ -143,6 +153,9 @@ class FDAlgebra:
         self._projsum_cache: Dict[Tuple[int, ...], Module] = {}
         # dimension vector -> relation plan, see modules._relation_plan
         self._relation_plans: Dict[Tuple[int, ...], tuple] = {}
+        # syzygy content -> its cover step, see modules._syzygy_step
+        self._syzygy_steps: Dict[tuple, tuple] = {}
+        self._syzygy_cells = 0
         self._zero_module: Optional[Module] = None
         self._opposite: Optional[FDAlgebra] = None
 
@@ -265,6 +278,11 @@ class FDAlgebra:
         op = self.opposite()
         mats = {aid: mat.transpose() for aid, mat in m.arrow_mats.items()}
         return Module(op, m.dims, mats)
+
+    def __getstate__(self):
+        """A pickle leaves the syzygy memo behind: it holds up to
+        MAX_SYZYGY_MEMO_CELLS cells, and is rebuilt as resolutions run."""
+        return {**self.__dict__, "_syzygy_steps": {}, "_syzygy_cells": 0}
 
     def __copy__(self):
         return self

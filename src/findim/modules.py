@@ -208,8 +208,12 @@ class ModuleMap(_Memoized):
 
     @classmethod
     def identity(cls, m: Module) -> "ModuleMap":
-        f = m.algebra.field
-        return cls(m, m, [Matrix.identity(f, d) for d in m.dims])
+        """The identity of m, built once and remembered on m."""
+        ident = getattr(m, "_identity", None)
+        if ident is None:
+            f = m.algebra.field
+            ident = m._identity = cls(m, m, [Matrix.identity(f, d) for d in m.dims])
+        return ident
 
     def compose(self, first: "ModuleMap") -> "ModuleMap":
         """self after first.
@@ -675,6 +679,36 @@ class ResolutionReport:
     status: PdResult
 
 
+# Cell budget of the syzygy cover steps an algebra remembers (see
+# _syzygy_step): the entries of the matrices they hold.  A step that would
+# pass it clears the memo first; the answers never depend on the memo.
+MAX_SYZYGY_MEMO_CELLS = 2**22
+
+
+def _syzygy_step(m: Module) -> Tuple[Module, ModuleMap, List[int], Module, ModuleMap]:
+    """(P, the cover P -> m, its vertices, the kernel, its inclusion) for a
+    syzygy m, remembered on the algebra by the content of m: its dims and
+    arrow entries, which decide the whole step.  A syzygy met again, in
+    this resolution or another, is covered once; the step holds the first
+    module of that content as the cover's target."""
+    alg = m.algebra
+    key = (m.dims, tuple([m.arrow_mats[a.id].data for a in alg.quiver.arrows]))
+    step = alg._syzygy_steps.get(key)
+    if step is None:
+        proj, cover, verts = projective_cover(m)
+        ker, incl = kernel_of(cover)
+        step = (proj, cover, verts, ker, incl)
+        held = (*m.arrow_mats.values(), *cover.mats, *ker.arrow_mats.values(), *incl.mats)
+        cells = sum(x.rows * x.cols for x in held)
+        if cells <= MAX_SYZYGY_MEMO_CELLS:
+            if alg._syzygy_cells + cells > MAX_SYZYGY_MEMO_CELLS:
+                alg._syzygy_steps.clear()
+                alg._syzygy_cells = 0
+            alg._syzygy_steps[key] = step
+            alg._syzygy_cells += cells
+    return step
+
+
 class _Resolution:
     """The minimal resolution of one module, computed only as deep as asked.
 
@@ -686,7 +720,12 @@ class _Resolution:
     Omega^0 is a module equal to m, not m itself: the resolution is kept
     on m, and neither its state nor the augmentation onto Omega^0 holds m,
     so m is freed as soon as its last reference goes, with no cycle for
-    the garbage collector.
+    the garbage collector.  The cover of Omega^0 is computed here and
+    never remembered elsewhere; from Omega^1 on, a step's cover, kernel
+    and inclusion come from `_syzygy_step` and may be shared with other
+    resolutions over the algebra, and only the differential
+    d_k = (inclusion of Omega^k) o cover is built here.  A periodic
+    resolution can hold one syzygy object at several steps.
     """
 
     __slots__ = ("steps", "_next")
@@ -703,9 +742,13 @@ class _Resolution:
             if current.is_zero():
                 self._next = None
                 break
-            proj, cover, verts = projective_cover(current)
-            ker, incl = kernel_of(cover)
-            d = cover if prev_incl is None else prev_incl.compose(cover)
+            if prev_incl is None:
+                proj, cover, verts = projective_cover(current)
+                ker, incl = kernel_of(cover)
+                d = cover
+            else:
+                proj, cover, verts, ker, incl = _syzygy_step(current)
+                d = prev_incl.compose(cover)
             self.steps.append((proj, verts, d, ker))
             self._next = (ker, incl)
         return self.steps[k] if k < len(self.steps) else None
@@ -724,8 +767,13 @@ def resolution_steps(m: Module) -> Iterator[Tuple[Module, List[int], ModuleMap, 
     that object and extended only when an iterator asks for a step past
     its end: a consumer that stops early leaves the rest uncomputed, a
     deeper consumer later extends it, and interleaved iterators see the
-    same steps.  The memo is keyed by the object, not by its content,
-    which cannot change: the yielded modules are shared by all callers.
+    same steps: the yielded modules are shared by all callers.  The
+    resolution is remembered on the object m, not by its content, so m
+    is never held by the algebra.  The cover step of each syzygy is
+    remembered on the algebra by its content (see `_syzygy_step`), so the
+    resolutions of two modules share their terms, kernels and covers from
+    the first syzygy they have in common; their differentials stay their
+    own.
     """
     res = getattr(m, "_resolution", None)
     if res is None:

@@ -145,6 +145,32 @@ def test_relation_admissibility():
         Relation(q, [])
 
 
+def test_quiver_refuses_an_arrow_id_that_is_not_a_string():
+    """An id 1 is not read as "1": an arrow is named by a string only."""
+    for aid in (1, True, None, ("x",)):
+        with pytest.raises(ValueError, match="is not a string"):
+            Quiver(1, [(aid, 0, 0)])
+
+
+def test_relation_refuses_a_path_that_is_not_a_list_of_arrow_ids():
+    """A string path is not read letter by letter, an entry is not passed
+    through str(), and an unknown arrow is named in a ValueError."""
+    q = Quiver(1, [("x", 0, 0)])
+    with pytest.raises(ValueError, match="is a string"):
+        Relation(q, [(1, "xx")])
+    with pytest.raises(ValueError, match="'xx' is a string"):
+        Relation(q, [(1, ["x", "x"]), (1, "xx")])
+    for entry in (0, None, ["x"]):
+        with pytest.raises(ValueError, match="is not an arrow id string"):
+            Relation(q, [(1, ["x", entry])])
+    with pytest.raises(ValueError, match="unknown arrow 'y'"):
+        Relation(q, [(1, ["x", "y"])])
+    q1 = Quiver(1, [("1", 0, 0)])
+    with pytest.raises(ValueError, match="not an arrow id string"):
+        Relation(q1, [(1, [1, 1])])
+    assert Relation(q1, [(1, ["1", "1"])]).terms == [(1, (0, 0))]
+
+
 def test_relation_parallel_check():
     q = Quiver(3, [("a", 0, 1), ("b", 1, 2), ("d", 2, 2)])
     with pytest.raises(ValueError):

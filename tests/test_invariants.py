@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import itertools
 import pickle
 import random
 import weakref
@@ -32,6 +33,7 @@ from findim.invariants import (
     algebra_complex,
     invariants_report,
 )
+from findim.modules import resolution_steps
 from util import a2, dual_numbers, nakayama3
 
 
@@ -193,13 +195,24 @@ def test_deep_copies_equal_their_originals():
 
 def test_a_resolved_module_is_freed_without_the_collector():
     """The resolution kept on a module holds no reference to the module:
-    with the cyclic collector off, it goes with its last reference."""
-    m = dual_numbers(GF(3)).simple(0)
+    with the cyclic collector off, it goes with its last reference.  That
+    holds as well for a module whose syzygies were read from the memo of
+    syzygy steps its algebra kept from an earlier resolution."""
+    alg = dual_numbers(GF(3))
+    m = alg.simple(0)
     ref = weakref.ref(m)
     gc.disable()
     try:
         assert proj_dim(m, 8).kind == "infinite_periodic"
+        first = [ker for *_, ker in itertools.islice(resolution_steps(m), 3)]
         del m
+        assert ref() is None
+        again = alg.simple(0)
+        ref = weakref.ref(again)
+        assert proj_dim(again, 8).kind == "infinite_periodic"
+        kers = [ker for *_, ker in itertools.islice(resolution_steps(again), 3)]
+        assert kers[1] is first[1] and kers[2] is first[2]  # memo hits
+        del again, kers
         assert ref() is None
     finally:
         gc.enable()

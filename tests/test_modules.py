@@ -579,12 +579,19 @@ def _resolution_samples():
             yield random_module(build(QQ), rng)
 
 
+def _resolve_as_fresh(m, length=7):
+    """The number of steps of the lazy resolution of m, up to `length`,
+    each checked equal to the fresh cover loop's."""
+    want = _fresh_steps(m, length)
+    got = list(itertools.islice(resolution_steps(m), length))
+    assert len(got) == len(want)
+    assert all(_same_step(g, w) for g, w in zip(got, want))
+    return len(got)
+
+
 def test_lazy_resolution_matches_a_fresh_cover_loop():
     for m in _resolution_samples():
-        want = _fresh_steps(m, 7)
-        got = list(itertools.islice(resolution_steps(m), 7))
-        assert len(got) == len(want)
-        assert all(_same_step(g, w) for g, w in zip(got, want))
+        _resolve_as_fresh(m)
 
 
 def test_lazy_resolution_early_stop_then_deeper():
@@ -659,28 +666,161 @@ def test_a_shallow_copy_of_a_module_cannot_edit_its_original():
     assert c == p and proj_dim(p, 5).describe() == proj_dim(c, 5).describe() == "Finite(0)"
 
 
-def test_lazy_resolution_covers_each_step_once(monkeypatch):
-    import findim.modules as fmod
+def _content(m):
+    """What decides a module's cover step: its dims and arrow entries."""
+    return (m.dims, tuple(m.arrow_mats[a.id].data for a in m.algebra.quiver.arrows))
 
+
+def _counting_covers(monkeypatch):
+    """The modules projective_cover is called on inside the resolution
+    loop, in order."""
     calls = []
-    cover = fmod.projective_cover
+    cover = findim.modules.projective_cover
 
     def counting(m):
         calls.append(m)
         return cover(m)
 
-    monkeypatch.setattr(fmod, "projective_cover", counting)
+    monkeypatch.setattr(findim.modules, "projective_cover", counting)
+    return calls
+
+
+def test_lazy_resolution_covers_each_step_once(monkeypatch):
+    """On one algebra, the cover loop covers each input module object once
+    and each syzygy content once: a syzygy equal to one already covered,
+    in this resolution or another, reads the algebra's memo.  The count is
+    taken from the fresh cover loop of every module."""
+    calls = _counting_covers(monkeypatch)
     for build in (a2, dual_numbers, nakayama3):
-        for m in enumerate_modules(build(GF(2)), 2):
-            if m.is_zero():
-                continue
-            expected = len(_fresh_steps(m, 16))
-            calls.clear()
+        mods = [m for m in enumerate_modules(build(GF(2)), 2) if not m.is_zero()]
+        syzygies = set()
+        for m in mods:
+            # the steps computed are those of a fresh loop of 16 steps; the
+            # covers past the first are of the kernels before the last step
+            syzygies.update(_content(ker) for *_, ker in _fresh_steps(m, 16)[:-1])
+        calls.clear()
+        for m in mods:
             proj_dim(m, 10)
             for n in range(1, 7):
                 ghost_pd_oracle(m, n, 16)
-            assert len(calls) == expected
-            assert len(set(map(id, calls))) == expected
+        assert len(calls) == len(mods) + len(syzygies)
+        assert len(set(map(id, calls))) == len(calls)
+
+
+def _memo_samples(field):
+    """Per algebra over the field: its modules up to total dimension 2,
+    or seeded random modules over GF(257) and Q."""
+    builds = (a2, dual_numbers, nakayama3)
+    if field.is_rational or field.p == 257:
+        rng = random.Random(field.p or 5)
+        for build in builds[1:]:
+            alg = build(field)
+            yield alg, [random_module(alg, rng) for _ in range(8)]
+    else:
+        for build in builds:
+            alg = build(field)
+            yield alg, list(enumerate_modules(alg, 2))
+
+
+def _memo_cells(alg):
+    """The cells the algebra's syzygy memo holds, counted from its steps."""
+    total = 0
+    for proj, cover, verts, ker, incl in alg._syzygy_steps.values():
+        held = (*cover.target.arrow_mats.values(), *cover.mats, *ker.arrow_mats.values(), *incl.mats)
+        total += sum(x.rows * x.cols for x in held)
+    return total
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(257), QQ], ids=repr)
+def test_resolutions_sharing_the_syzygy_memo_match_a_fresh_cover_loop(field, monkeypatch):
+    """Resolved one after another on one algebra, so later resolutions read
+    the syzygy steps of earlier ones, every resolution equals the fresh
+    cover loop step for step, and the memo was read."""
+    calls = _counting_covers(monkeypatch)
+    for alg, mods in _memo_samples(field):
+        calls.clear()
+        steps = sum(_resolve_as_fresh(m) for m in mods)
+        assert len(calls) < steps  # some syzygy steps were memo hits
+        assert alg._syzygy_cells == _memo_cells(alg)
+
+
+def test_a_periodic_resolution_over_q_covers_twice(monkeypatch):
+    """The simple of the dual numbers is its own syzygy: over Q, where no
+    periodicity is tested, the cutoff 1,000 covers the input and its first
+    syzygy, and every later step reads the memo."""
+    calls = _counting_covers(monkeypatch)
+    m = dual_numbers(QQ).simple(0)
+    res = minimal_resolution(m, 1000)
+    assert res.status.describe() == "AtLeastCutoff" and len(res.terms) == 1001
+    assert len(calls) == 2
+    assert all(d.mats == res.differentials[0].mats for d in res.differentials)
+
+
+def test_the_syzygy_memo_stays_within_its_cell_budget(monkeypatch):
+    """With a budget of a few steps the memo is cleared again and again;
+    with none it keeps nothing and every step is covered.  The answers
+    stay those of the fresh cover loop."""
+    calls = _counting_covers(monkeypatch)
+    for budget in (40, 0):
+        monkeypatch.setattr(findim.modules, "MAX_SYZYGY_MEMO_CELLS", budget)
+        cleared = steps = 0
+        calls.clear()
+        for field in (GF(2), GF(3)):
+            for alg, mods in _memo_samples(field):
+                for m in mods:
+                    before = len(alg._syzygy_steps)
+                    steps += _resolve_as_fresh(m)
+                    assert alg._syzygy_cells == _memo_cells(alg) <= budget
+                    cleared += len(alg._syzygy_steps) < before
+        if budget:
+            assert cleared > 0 and len(calls) < steps
+        else:
+            assert len(calls) == steps
+
+
+def test_the_syzygy_memo_never_holds_an_input_module():
+    """The memo holds the syzygies the loop met, never a module it was
+    asked to resolve nor the module equal to it that starts its
+    resolution: on a2 the projective P_0 leaves it empty, S_0 puts in
+    its first syzygy only."""
+    a = a2()
+    p0, s0 = a.projective(0), a.simple(0)
+    assert proj_dim(p0, 5).describe() == "Finite(0)"
+    assert a._syzygy_steps == {}
+    assert proj_dim(s0, 5).describe() == "Finite(1)"
+    [(_, cover, _, ker, _)] = a._syzygy_steps.values()
+    first = list(resolution_steps(s0))
+    assert cover.target is first[0][3] and ker is first[1][3] and ker.is_zero()
+    for alg, mods in _memo_samples(GF(3)):
+        starts = []  # each input and the module Omega^0 its resolution starts from
+        for m in mods:
+            steps = list(itertools.islice(resolution_steps(m), 5))
+            starts += [m, steps[0][2].target] if steps else [m]
+        held = {id(x) for s in alg._syzygy_steps.values() for x in (s[1].target, s[3])}
+        assert held and not held & set(map(id, starts))
+
+
+def test_a_pickled_algebra_leaves_its_syzygy_memo_behind():
+    a = nakayama3(GF(2))
+    for m in enumerate_modules(a, 3):
+        proj_dim(m, 10)
+    assert a._syzygy_steps and a._syzygy_cells == _memo_cells(a)
+    q = pickle.loads(pickle.dumps(a.simple(0)))
+    assert q.algebra._syzygy_steps == {} and q.algebra._syzygy_cells == 0
+    assert proj_dim(q, 10).describe() == proj_dim(a.simple(0), 10).describe()
+    assert q.algebra._syzygy_cells == _memo_cells(q.algebra)
+
+
+def test_a_module_map_identity_is_built_once_per_module():
+    a = nakayama3(GF(3))
+    m = a.projective(0)
+    ident = ModuleMap.identity(m)
+    assert ModuleMap.identity(m) is ident
+    assert ident.source is ident.target is m and ident.commutes()
+    assert ident.mats == tuple(Matrix.identity(a.field, d) for d in m.dims)
+    other = Module(a, m.dims, m.arrow_mats)
+    assert ModuleMap.identity(other) is not ident and ModuleMap.identity(other) == ident
+    assert "_identity" not in vars(copy.copy(m))
 
 
 # -- independent oracles on random quivers ------------------------------------
